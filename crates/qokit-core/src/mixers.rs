@@ -1,7 +1,8 @@
 //! QAOA mixing operators (§III-B of the paper).
 //!
 //! * [`Mixer::X`] — the transverse-field mixer `e^{-iβΣᵢXᵢ}`, applied with
-//!   the paper's Algorithm 2 (one in-place butterfly pass per qubit).
+//!   the paper's Algorithm 2 (an in-place butterfly per qubit) on the
+//!   cache-blocked, `Rx`-specialised kernels `su2::apply_x_mixer{,_split}`.
 //! * [`Mixer::XyRing`] / [`Mixer::XyComplete`] — the Hamming-weight-
 //!   preserving XY mixers built from two-qubit `e^{-iβ(XX+YY)/2}` rotations
 //!   over ring / complete-graph edges, using the SU(4) extension of
@@ -11,8 +12,7 @@
 //!   factor conserves Hamming weight, hence so does the product.
 
 use qokit_statevec::exec::ExecPolicy;
-use qokit_statevec::matrices::Mat2;
-use qokit_statevec::su2::{apply_uniform_mat2, apply_uniform_mat2_split};
+use qokit_statevec::su2::{apply_x_mixer, apply_x_mixer_split};
 use qokit_statevec::su4::{apply_xy, apply_xy_split};
 use qokit_statevec::C64;
 
@@ -32,7 +32,7 @@ impl Mixer {
     pub fn apply(&self, amps: &mut [C64], beta: f64, exec: impl Into<ExecPolicy>) {
         let policy = exec.into();
         match self {
-            Mixer::X => apply_uniform_mat2(amps, &Mat2::rx(beta), policy),
+            Mixer::X => apply_x_mixer(amps, beta, policy),
             Mixer::XyRing => {
                 let n = amps.len().trailing_zeros() as usize;
                 for (a, b) in ring_edges(n) {
@@ -62,7 +62,7 @@ impl Mixer {
     ) {
         let policy = exec.into();
         match self {
-            Mixer::X => apply_uniform_mat2_split(re, im, &Mat2::rx(beta), policy),
+            Mixer::X => apply_x_mixer_split(re, im, beta, policy),
             Mixer::XyRing => {
                 let n = re.len().trailing_zeros() as usize;
                 for (a, b) in ring_edges(n) {

@@ -11,6 +11,30 @@
 //! scale·q`), decoding on the fly so the 2-byte representation never
 //! inflates to 8 bytes in memory.
 //!
+//! # The phase table
+//!
+//! Costs of the common problems sit on an integer grid: the LABS diagonal
+//! at `n = 22` (`labs_terms`) spans 1637 integer levels, 201 of them
+//! taken, over 4M entries, and a `u16` vector is a grid by construction. So every phase entry point (interleaved,
+//! split, `f64`, `u16`, serial, parallel) goes through one per-call table:
+//!
+//! 1. Scan the diagonal's finite extrema `lo ≤ hi` (for `u16`, of the
+//!    codes `q`).
+//! 2. If the grid `lo, lo + 1, …` covers `[lo, hi]` in at most
+//!    `min(2^n, 2^16)` levels (a table of ≤ 1 MiB), build
+//!    `t[k] = cis(−γ·c(lo + k))`, where `c` is the identity for `f64` and
+//!    `offset + scale·q` for `u16`.
+//! 3. For each entry `x`, use `t[k]` with `k = (x − lo) as usize` when
+//!    `lo + k` equals `x` bit for bit.
+//! 4. Otherwise — off-grid, NaN, ±∞, −0.0, or no table — compute
+//!    `cis(−γ·c(x))` for that entry.
+//!
+//! A table entry is computed by the same expression, from the same bits,
+//! as the per-entry `cis` it replaces, so the phase is bit-identical to
+//! calling `C64::cis(−γ·c_k)` on every entry, while an integer-valued
+//! diagonal costs about one `sin_cos` per distinct level instead of one
+//! per amplitude.
+//!
 //! Every dispatcher takes `impl Into<ExecPolicy>`; parallel sweeps split by
 //! the policy's chunking thresholds.
 
@@ -18,15 +42,108 @@ use crate::complex::C64;
 use crate::exec::ExecPolicy;
 use rayon::prelude::*;
 
+/// Most levels a phase table holds: `2^16` entries, 1 MiB of `C64`.
+const MAX_TABLE_LEVELS: usize = 1 << 16;
+
+/// The per-call phase factors `e^{-iγ c(x)}` of one diagonal (see the
+/// module docs). Entries `x` are `f64` costs, or `u16` codes read as `f64`.
+struct PhaseTable {
+    gamma: f64,
+    /// `(offset, scale)` decoding a `u16` code `x` to `offset + scale·x`;
+    /// `None` when entries are the costs themselves.
+    decode: Option<(f64, f64)>,
+    /// Grid origin: the smallest finite entry.
+    lo: f64,
+    /// `t[k] = cis(−γ·c(lo + k))`; empty when the span does not fit.
+    t: Vec<C64>,
+}
+
+impl PhaseTable {
+    fn new<L>(entries: &[L], gamma: f64, decode: Option<(f64, f64)>, policy: &ExecPolicy) -> Self
+    where
+        L: Copy + Into<f64> + Sync,
+    {
+        let empty = (f64::INFINITY, f64::NEG_INFINITY);
+        let finite = |x: f64| if x.is_finite() { (x, x) } else { empty };
+        let widen = |a: (f64, f64), b: (f64, f64)| (a.0.min(b.0), a.1.max(b.1));
+        let (lo, hi) = if policy.parallel(entries.len()) {
+            entries
+                .par_iter()
+                .with_min_len(policy.min_chunk)
+                .map(|&x| finite(x.into()))
+                .reduce(|| empty, widen)
+        } else {
+            entries.iter().map(|&x| finite(x.into())).fold(empty, widen)
+        };
+        let mut table = PhaseTable {
+            gamma,
+            decode,
+            lo,
+            t: Vec::new(),
+        };
+        if lo <= hi && hi - lo < entries.len().min(MAX_TABLE_LEVELS) as f64 {
+            let levels = (hi - lo) as usize + 1;
+            table.t = (0..levels)
+                .map(|k| C64::cis(-gamma * table.cost(lo + k as f64)))
+                .collect();
+        }
+        table
+    }
+
+    #[inline(always)]
+    fn cost(&self, x: f64) -> f64 {
+        match self.decode {
+            None => x,
+            Some((offset, scale)) => offset + scale * x,
+        }
+    }
+
+    /// `cis(−γ·c(x))`, from the table when `x` sits exactly on its grid.
+    #[inline(always)]
+    fn factor(&self, x: f64) -> C64 {
+        // Saturating cast: NaN and values below `lo` give 0, +∞ gives
+        // `usize::MAX`; the bitwise check then sends them to `cis`.
+        let k = (x - self.lo) as usize;
+        match self.t.get(k) {
+            Some(&z) if (self.lo + k as f64).to_bits() == x.to_bits() => z,
+            _ => C64::cis(-self.gamma * self.cost(x)),
+        }
+    }
+}
+
+/// The one phase kernel behind every interleaved entry point.
+fn phase<L>(
+    amps: &mut [C64],
+    entries: &[L],
+    gamma: f64,
+    decode: Option<(f64, f64)>,
+    policy: ExecPolicy,
+) where
+    L: Copy + Into<f64> + Sync,
+{
+    assert_eq!(amps.len(), entries.len(), "cost vector length mismatch");
+    if policy.parallel(amps.len()) {
+        policy.install(|| {
+            let table = PhaseTable::new(entries, gamma, decode, &policy);
+            amps.par_iter_mut()
+                .with_min_len(policy.min_chunk)
+                .zip(entries.par_iter().with_min_len(policy.min_chunk))
+                .for_each(|(a, &x)| *a *= table.factor(x.into()));
+        });
+    } else {
+        let table = PhaseTable::new(entries, gamma, decode, &policy);
+        for (a, &x) in amps.iter_mut().zip(entries.iter()) {
+            *a *= table.factor(x.into());
+        }
+    }
+}
+
 /// Serial phase operator: `ψ_k ← e^{-iγ c_k} ψ_k`.
 ///
 /// # Panics
 /// If `amps` and `costs` lengths differ.
 pub fn apply_phase_serial(amps: &mut [C64], costs: &[f64], gamma: f64) {
-    assert_eq!(amps.len(), costs.len(), "cost vector length mismatch");
-    for (a, &c) in amps.iter_mut().zip(costs.iter()) {
-        *a *= C64::cis(-gamma * c);
-    }
+    phase(amps, costs, gamma, None, ExecPolicy::serial());
 }
 
 /// Pool-parallel phase operator with default thresholds.
@@ -37,18 +154,7 @@ pub fn apply_phase_rayon(amps: &mut [C64], costs: &[f64], gamma: f64) {
 /// Policy-dispatched phase operator.
 #[inline]
 pub fn apply_phase(amps: &mut [C64], costs: &[f64], gamma: f64, exec: impl Into<ExecPolicy>) {
-    assert_eq!(amps.len(), costs.len(), "cost vector length mismatch");
-    let policy = exec.into();
-    if policy.parallel(amps.len()) {
-        policy.install(|| {
-            amps.par_iter_mut()
-                .with_min_len(policy.min_chunk)
-                .zip(costs.par_iter().with_min_len(policy.min_chunk))
-                .for_each(|(a, &c)| *a *= C64::cis(-gamma * c));
-        });
-    } else {
-        apply_phase_serial(amps, costs, gamma);
-    }
+    phase(amps, costs, gamma, None, exec.into());
 }
 
 /// Serial phase operator over a quantized `u16` cost vector with
@@ -60,10 +166,13 @@ pub fn apply_phase_u16_serial(
     scale: f64,
     gamma: f64,
 ) {
-    assert_eq!(amps.len(), costs.len(), "cost vector length mismatch");
-    for (a, &q) in amps.iter_mut().zip(costs.iter()) {
-        *a *= C64::cis(-gamma * (offset + scale * q as f64));
-    }
+    phase(
+        amps,
+        costs,
+        gamma,
+        Some((offset, scale)),
+        ExecPolicy::serial(),
+    );
 }
 
 /// Pool-parallel phase operator over a quantized `u16` cost vector with
@@ -81,18 +190,7 @@ pub fn apply_phase_u16(
     gamma: f64,
     exec: impl Into<ExecPolicy>,
 ) {
-    assert_eq!(amps.len(), costs.len(), "cost vector length mismatch");
-    let policy = exec.into();
-    if policy.parallel(amps.len()) {
-        policy.install(|| {
-            amps.par_iter_mut()
-                .with_min_len(policy.min_chunk)
-                .zip(costs.par_iter().with_min_len(policy.min_chunk))
-                .for_each(|(a, &q)| *a *= C64::cis(-gamma * (offset + scale * q as f64)));
-        });
-    } else {
-        apply_phase_u16_serial(amps, costs, offset, scale, gamma);
-    }
+    phase(amps, costs, gamma, Some((offset, scale)), exec.into());
 }
 
 /// Applies an arbitrary complex diagonal: `ψ_k ← d_k ψ_k`.
@@ -193,17 +291,48 @@ pub fn probability_mass(amps: &[C64], indices: &[usize]) -> f64 {
 
 // ------------------------------------------------------------ split-plane
 
-/// One split-plane phase rotation, written to match the interleaved
-/// `ψ ← ψ·cis(θ)` exactly: `re' = r·cos − i·sin`, `im' = r·sin + i·cos`.
-/// The `sin`/`cos` streams are data-dependent (`sin_cos` per element), so
-/// the win here is plane-local memory traffic, not packing the
-/// trigonometry.
+/// One split-plane phase rotation by `z = cis(θ)`, written to match the
+/// interleaved `ψ ← ψ·z` exactly: `re' = r·cos − i·sin`,
+/// `im' = r·sin + i·cos`.
 #[inline(always)]
-fn phase_rotate(r: &mut f64, i: &mut f64, theta: f64) {
-    let (s, c) = theta.sin_cos();
+fn phase_rotate(r: &mut f64, i: &mut f64, z: C64) {
     let (r0, i0) = (*r, *i);
-    *r = r0 * c - i0 * s;
-    *i = r0 * s + i0 * c;
+    *r = r0 * z.re - i0 * z.im;
+    *i = r0 * z.im + i0 * z.re;
+}
+
+/// The one phase kernel behind every split-plane entry point.
+fn phase_split<L>(
+    re: &mut [f64],
+    im: &mut [f64],
+    entries: &[L],
+    gamma: f64,
+    decode: Option<(f64, f64)>,
+    policy: ExecPolicy,
+) where
+    L: Copy + Into<f64> + Sync,
+{
+    assert_eq!(re.len(), im.len(), "plane length mismatch");
+    assert_eq!(re.len(), entries.len(), "cost vector length mismatch");
+    if policy.parallel(re.len()) {
+        let chunk = policy.chunk_len(re.len(), 1);
+        policy.install(|| {
+            let table = PhaseTable::new(entries, gamma, decode, &policy);
+            re.par_chunks_mut(chunk)
+                .zip(im.par_chunks_mut(chunk))
+                .zip(entries.par_chunks(chunk))
+                .for_each(|((rc, ic), xc)| {
+                    for ((r, i), &x) in rc.iter_mut().zip(ic.iter_mut()).zip(xc.iter()) {
+                        phase_rotate(r, i, table.factor(x.into()));
+                    }
+                });
+        });
+    } else {
+        let table = PhaseTable::new(entries, gamma, decode, &policy);
+        for ((r, i), &x) in re.iter_mut().zip(im.iter_mut()).zip(entries.iter()) {
+            phase_rotate(r, i, table.factor(x.into()));
+        }
+    }
 }
 
 /// Split-plane phase operator: `ψ_k ← e^{-iγ c_k} ψ_k` on `re`/`im` planes.
@@ -219,26 +348,7 @@ pub fn apply_phase_split(
     gamma: f64,
     exec: impl Into<ExecPolicy>,
 ) {
-    assert_eq!(re.len(), im.len(), "plane length mismatch");
-    assert_eq!(re.len(), costs.len(), "cost vector length mismatch");
-    let policy = exec.into();
-    if policy.parallel(re.len()) {
-        let chunk = policy.chunk_len(re.len(), 1);
-        policy.install(|| {
-            re.par_chunks_mut(chunk)
-                .zip(im.par_chunks_mut(chunk))
-                .zip(costs.par_chunks(chunk))
-                .for_each(|((rc, ic), cc)| {
-                    for ((r, i), &c) in rc.iter_mut().zip(ic.iter_mut()).zip(cc.iter()) {
-                        phase_rotate(r, i, -gamma * c);
-                    }
-                });
-        });
-    } else {
-        for ((r, i), &c) in re.iter_mut().zip(im.iter_mut()).zip(costs.iter()) {
-            phase_rotate(r, i, -gamma * c);
-        }
-    }
+    phase_split(re, im, costs, gamma, None, exec.into());
 }
 
 /// Split-plane phase operator over a quantized `u16` cost vector with
@@ -255,26 +365,7 @@ pub fn apply_phase_u16_split(
     gamma: f64,
     exec: impl Into<ExecPolicy>,
 ) {
-    assert_eq!(re.len(), im.len(), "plane length mismatch");
-    assert_eq!(re.len(), costs.len(), "cost vector length mismatch");
-    let policy = exec.into();
-    if policy.parallel(re.len()) {
-        let chunk = policy.chunk_len(re.len(), 1);
-        policy.install(|| {
-            re.par_chunks_mut(chunk)
-                .zip(im.par_chunks_mut(chunk))
-                .zip(costs.par_chunks(chunk))
-                .for_each(|((rc, ic), cc)| {
-                    for ((r, i), &q) in rc.iter_mut().zip(ic.iter_mut()).zip(cc.iter()) {
-                        phase_rotate(r, i, -gamma * (offset + scale * q as f64));
-                    }
-                });
-        });
-    } else {
-        for ((r, i), &q) in re.iter_mut().zip(im.iter_mut()).zip(costs.iter()) {
-            phase_rotate(r, i, -gamma * (offset + scale * q as f64));
-        }
-    }
+    phase_split(re, im, costs, gamma, Some((offset, scale)), exec.into());
 }
 
 /// Split-plane objective: `Σ c_k (re_k² + im_k²)`. Serially bit-identical
@@ -558,6 +649,166 @@ mod tests {
         let e_f = expectation_split(re, im, &costs_f, Backend::Serial);
         let e_q = expectation_u16_split(re, im, &costs_q, offset, scale, Backend::Serial);
         assert!((e_f - e_q).abs() < 1e-10);
+    }
+
+    /// LABS sidelobe energy `Σ_k C_k(x)²` of every basis state.
+    fn labs_diagonal(n: usize) -> Vec<f64> {
+        let spin = |x: usize, i: usize| if x >> i & 1 == 1 { -1i64 } else { 1 };
+        (0..1usize << n)
+            .map(|x| {
+                (1..n)
+                    .map(|k| {
+                        let c: i64 = (0..n - k).map(|i| spin(x, i) * spin(x, i + k)).sum();
+                        (c * c) as f64
+                    })
+                    .sum()
+            })
+            .collect()
+    }
+
+    /// Negative cut size of a ring with chords, `−Σ_{(i,j)} [x_i ≠ x_j]`.
+    fn maxcut_diagonal(n: usize) -> Vec<f64> {
+        let edges: Vec<(usize, usize)> = (0..n)
+            .map(|i| (i, (i + 1) % n))
+            .chain((0..n / 2).map(|i| (i, i + n / 2)))
+            .collect();
+        (0..1usize << n)
+            .map(|x| {
+                -(edges
+                    .iter()
+                    .filter(|&&(i, j)| (x >> i ^ x >> j) & 1 == 1)
+                    .count() as f64)
+            })
+            .collect()
+    }
+
+    /// Listing 1's all-to-all couplings `0.3·Σ_{i<j} s_i s_j`: off the
+    /// integer grid almost everywhere.
+    fn all_to_all_diagonal(n: usize) -> Vec<f64> {
+        let spin = |x: usize, i: usize| if x >> i & 1 == 1 { -1.0 } else { 1.0 };
+        (0..1usize << n)
+            .map(|x| {
+                let mut c = 0.0;
+                for i in 0..n {
+                    for j in i + 1..n {
+                        c += 0.3 * (spin(x, i) * spin(x, j));
+                    }
+                }
+                c
+            })
+            .collect()
+    }
+
+    fn phased_state(n: usize) -> StateVec {
+        let mut s = StateVec::dicke_state(n, n / 2);
+        apply_phase_serial(s.amplitudes_mut(), &ramp_costs(1 << n), 0.37);
+        s
+    }
+
+    fn bits(amps: &[C64]) -> Vec<(u64, u64)> {
+        amps.iter()
+            .map(|a| (a.re.to_bits(), a.im.to_bits()))
+            .collect()
+    }
+
+    /// Checks every phase entry point against per-element `C64::cis`, bit
+    /// for bit, serially and under a forced-parallel policy.
+    fn assert_phase_is_per_element_cis(costs: &[f64], gamma: f64) {
+        let n = costs.len().trailing_zeros() as usize;
+        let s = phased_state(n);
+        let expect: Vec<C64> = s
+            .amplitudes()
+            .iter()
+            .zip(costs)
+            .map(|(&a, &c)| a * C64::cis(-gamma * c))
+            .collect();
+        let forced = ExecPolicy::rayon().with_min_len(1).with_min_chunk(16);
+        for policy in [ExecPolicy::serial(), forced.with_threads(2)] {
+            let mut inter = s.clone();
+            apply_phase(inter.amplitudes_mut(), costs, gamma, policy);
+            assert_eq!(bits(inter.amplitudes()), bits(&expect), "{policy:?}");
+            let mut split = crate::split::SplitStateVec::from(&s);
+            let (re, im) = split.planes_mut();
+            apply_phase_split(re, im, costs, gamma, policy);
+            let mut back = s.clone();
+            split.write_interleaved(back.amplitudes_mut());
+            assert_eq!(bits(back.amplitudes()), bits(&expect), "split, {policy:?}");
+        }
+    }
+
+    #[test]
+    fn phase_table_matches_per_element_cis_on_labs_and_maxcut() {
+        for gamma in [0.41, -2.7] {
+            assert_phase_is_per_element_cis(&labs_diagonal(10), gamma);
+            assert_phase_is_per_element_cis(&maxcut_diagonal(11), gamma);
+        }
+        // The integer diagonals really take the table: one entry per level
+        // of the span, far fewer than amplitudes.
+        let labs = labs_diagonal(12);
+        let table = PhaseTable::new(&labs, 0.41, None, &ExecPolicy::serial());
+        let (lo, hi) = labs
+            .iter()
+            .fold((f64::MAX, f64::MIN), |(l, h), &c| (l.min(c), h.max(c)));
+        assert_eq!(table.lo, lo);
+        assert_eq!(table.t.len(), (hi - lo) as usize + 1);
+        assert!(table.t.len() < labs.len() / 4);
+    }
+
+    #[test]
+    fn u16_phase_table_matches_per_element_decode() {
+        let n = 10;
+        let codes: Vec<u16> = labs_diagonal(n).iter().map(|&c| c as u16 / 4).collect();
+        let (offset, scale, gamma) = (-3.25, 0.5, 0.83);
+        let s = phased_state(n);
+        let expect: Vec<C64> = s
+            .amplitudes()
+            .iter()
+            .zip(&codes)
+            .map(|(&a, &q)| a * C64::cis(-gamma * (offset + scale * q as f64)))
+            .collect();
+        let forced = ExecPolicy::rayon().with_min_len(1).with_min_chunk(16);
+        for policy in [ExecPolicy::serial(), forced.with_threads(2)] {
+            let mut inter = s.clone();
+            apply_phase_u16(inter.amplitudes_mut(), &codes, offset, scale, gamma, policy);
+            assert_eq!(bits(inter.amplitudes()), bits(&expect), "{policy:?}");
+            let mut split = crate::split::SplitStateVec::from(&s);
+            let (re, im) = split.planes_mut();
+            apply_phase_u16_split(re, im, &codes, offset, scale, gamma, policy);
+            let mut back = s.clone();
+            split.write_interleaved(back.amplitudes_mut());
+            assert_eq!(bits(back.amplitudes()), bits(&expect), "split, {policy:?}");
+        }
+    }
+
+    #[test]
+    fn phase_falls_back_off_the_grid() {
+        let n = 9;
+        // Off-grid: the 0.3-weighted all-to-all couplings.
+        assert_phase_is_per_element_cis(&all_to_all_diagonal(n), 0.66);
+        // One NaN and one ±∞ entry among integers.
+        for inf in [f64::INFINITY, f64::NEG_INFINITY] {
+            let mut odd = labs_diagonal(n);
+            odd[5] = f64::NAN;
+            odd[77] = inf;
+            odd[200] = -0.0;
+            assert_phase_is_per_element_cis(&odd, 0.66);
+            let table = PhaseTable::new(&odd, 0.66, None, &ExecPolicy::serial());
+            assert!(
+                !table.t.is_empty(),
+                "non-finite entries leave the grid intact"
+            );
+        }
+        // A span of 2^n or more: no table at all.
+        let wide: Vec<f64> = (0..1usize << n).map(|i| (i * 3) as f64).collect();
+        assert!(PhaseTable::new(&wide, 0.66, None, &ExecPolicy::serial())
+            .t
+            .is_empty());
+        assert_phase_is_per_element_cis(&wide, 0.66);
+        // Partly on the grid: every other entry sits half-way between levels.
+        let half: Vec<f64> = (0..1usize << n)
+            .map(|i| (i % 37) as f64 + if i % 2 == 1 { 0.5 } else { 0.0 })
+            .collect();
+        assert_phase_is_per_element_cis(&half, 0.66);
     }
 
     #[test]

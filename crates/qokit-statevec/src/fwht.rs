@@ -20,22 +20,19 @@
 //! [`Backend`](crate::exec::Backend) and a tuned [`ExecPolicy`] select the
 //! executor and split sizes.
 
+use crate::blocked::{sweep, Lanes};
 use crate::complex::C64;
 use crate::exec::ExecPolicy;
 use rayon::prelude::*;
 
-/// One serial butterfly pass at the given stride:
-/// `(x0, x1) ← (x0 + x1, x0 − x1)` over every pair.
-#[inline]
-fn butterfly_pass_serial(amps: &mut [C64], stride: usize) {
-    for block in amps.chunks_exact_mut(stride * 2) {
-        let (lo, hi) = block.split_at_mut(stride);
-        for (l, h) in lo.iter_mut().zip(hi.iter_mut()) {
-            let x0 = *l;
-            let x1 = *h;
-            *l = x0 + x1;
-            *h = x0 - x1;
-        }
+/// Complex butterfly over two runs: `(lo_k, hi_k) ← (lo_k + hi_k, lo_k − hi_k)`.
+#[inline(always)]
+fn butterfly_runs(lo: &mut [C64], hi: &mut [C64]) {
+    for (l, h) in lo.iter_mut().zip(hi.iter_mut()) {
+        let x0 = *l;
+        let x1 = *h;
+        *l = x0 + x1;
+        *h = x0 - x1;
     }
 }
 
@@ -43,43 +40,7 @@ fn butterfly_pass_serial(amps: &mut [C64], stride: usize) {
 /// `(x0, x1) ← (x0 + x1, x0 − x1)` over every bit. Self-inverse up to a
 /// factor `N = 2^n`.
 pub fn fwht_serial(amps: &mut [C64]) {
-    let len = amps.len();
-    debug_assert!(len.is_power_of_two());
-    let mut stride = 1usize;
-    while stride < len {
-        butterfly_pass_serial(amps, stride);
-        stride <<= 1;
-    }
-}
-
-/// Parallel unnormalized FWHT splitting by `policy`.
-fn fwht_parallel(amps: &mut [C64], policy: &ExecPolicy) {
-    let len = amps.len();
-    debug_assert!(len.is_power_of_two());
-    let mut stride = 1usize;
-    while stride < len {
-        let block = stride * 2;
-        if block >= len {
-            let (lo, hi) = amps.split_at_mut(stride);
-            lo.par_iter_mut()
-                .zip(hi.par_iter_mut())
-                .with_min_len(policy.min_chunk)
-                .for_each(|(l, h)| {
-                    let x0 = *l;
-                    let x1 = *h;
-                    *l = x0 + x1;
-                    *h = x0 - x1;
-                });
-        } else {
-            let chunk = policy.chunk_len(len, block);
-            amps.par_chunks_mut(chunk).for_each(|c| {
-                for b in c.chunks_exact_mut(block) {
-                    butterfly_pass_serial(b, stride);
-                }
-            });
-        }
-        stride <<= 1;
-    }
+    fwht(amps, ExecPolicy::serial());
 }
 
 /// Pool-parallel unnormalized FWHT with default thresholds (falls back to
@@ -88,15 +49,16 @@ pub fn fwht_rayon(amps: &mut [C64]) {
     fwht(amps, ExecPolicy::rayon());
 }
 
-/// Policy-dispatched unnormalized FWHT.
+/// Policy-dispatched unnormalized FWHT, on the cache-blocked traversal of
+/// the `su2` kernels: bit-identical to the stride-by-stride schedule for
+/// every policy.
 #[inline]
 pub fn fwht(amps: &mut [C64], exec: impl Into<ExecPolicy>) {
-    let policy = exec.into();
-    if policy.parallel(amps.len()) {
-        policy.install(|| fwht_parallel(amps, &policy));
-    } else {
-        fwht_serial(amps);
-    }
+    let n = amps.len().trailing_zeros() as usize;
+    debug_assert!(amps.len().is_power_of_two());
+    sweep(Lanes::new(amps), 0..n, &exec.into(), |_, lo, hi| {
+        butterfly_runs(lo, hi)
+    });
 }
 
 /// Butterfly over two equal-length `f64` lane runs:
@@ -107,7 +69,7 @@ pub fn fwht(amps: &mut [C64], exec: impl Into<ExecPolicy>) {
 /// AVX2/NEON path runs instead; IEEE add/sub is exact per lane, so both
 /// paths are bit-identical.
 #[inline]
-pub(crate) fn butterfly_lanes(lo: &mut [f64], hi: &mut [f64]) {
+fn butterfly_lanes(lo: &mut [f64], hi: &mut [f64]) {
     debug_assert_eq!(lo.len(), hi.len());
     #[cfg(feature = "simd")]
     if crate::simd::butterfly_f64(lo, hi) {
@@ -121,125 +83,22 @@ pub(crate) fn butterfly_lanes(lo: &mut [f64], hi: &mut [f64]) {
     }
 }
 
-/// One serial butterfly pass of the real-vector transform.
-#[inline]
-fn butterfly_pass_serial_f64(vals: &mut [f64], stride: usize) {
-    for block in vals.chunks_exact_mut(stride * 2) {
-        let (lo, hi) = block.split_at_mut(stride);
-        butterfly_lanes(lo, hi);
-    }
-}
-
-/// Cache-block row length for the blocked FWHT: `2^14` doubles = 128 KiB,
-/// comfortably inside a typical per-core L2.
-const FWHT_BLOCK_F64: usize = 1 << 14;
-
-/// Minimum column-tile width for the high passes of the blocked FWHT: a
-/// full 64-byte cache line of doubles, so tiles never split lines.
-const FWHT_MIN_TILE: usize = 8;
-
-/// All butterfly passes with `stride < vals.len()` run serially, in
-/// ascending stride order (the plain, unblocked schedule).
-fn fwht_f64_passes(vals: &mut [f64]) {
-    let len = vals.len();
-    let mut stride = 1usize;
-    while stride < len {
-        butterfly_pass_serial_f64(vals, stride);
-        stride <<= 1;
-    }
-}
-
-/// Serial cache-blocked FWHT of a real vector.
-///
-/// Factorizes `H_{2^n} = (H_R ⊗ I_C)(I_R ⊗ H_C)` for `len = R·C` with
-/// `C = FWHT_BLOCK_F64`:
-///
-/// 1. **Low passes** (`stride < C`): each contiguous `C`-double row is a
-///    self-contained transform that fits in L2, so every pass over it hits
-///    cache instead of streaming the whole vector per pass.
-/// 2. **High passes** (`stride ≥ C`): butterflies pair whole rows. We tile
-///    by column so all `log2(R)` passes finish on one resident
-///    `R × tile`-double working set before moving to the next tile.
-///
-/// Every element goes through the same butterfly DAG in the same per-node
-/// operand order as the unblocked schedule — only the traversal order of
-/// independent nodes changes — so the result is **bit-identical** to
-/// [`fwht_f64_passes`].
-fn fwht_f64_blocked_serial(vals: &mut [f64]) {
-    let len = vals.len();
-    let cols = FWHT_BLOCK_F64;
-    if len <= cols {
-        return fwht_f64_passes(vals);
-    }
-    let rows = len / cols;
-    // Step 1: low passes, one cache-resident row at a time.
-    for row in vals.chunks_exact_mut(cols) {
-        fwht_f64_passes(row);
-    }
-    // Step 2: high passes, column-tiled. Tile width keeps the working set
-    // (rows × tile doubles) near one block while staying line-aligned.
-    let tile = (cols / rows).clamp(FWHT_MIN_TILE, cols);
-    let mut t = 0;
-    while t < cols {
-        let mut sr = 1usize; // row stride of this pass
-        while sr < rows {
-            let mut base = 0;
-            while base < rows {
-                for j in base..base + sr {
-                    let i0 = j * cols + t;
-                    let i1 = (j + sr) * cols + t;
-                    let (lo, hi) = vals.split_at_mut(i1);
-                    butterfly_lanes(&mut lo[i0..i0 + tile], &mut hi[..tile]);
-                }
-                base += sr * 2;
-            }
-            sr <<= 1;
-        }
-        t += tile;
-    }
-}
-
-/// Parallel real-vector FWHT splitting by `policy`.
-fn fwht_f64_parallel(vals: &mut [f64], policy: &ExecPolicy) {
-    let len = vals.len();
-    let mut stride = 1usize;
-    while stride < len {
-        let block = stride * 2;
-        if block >= len {
-            let (lo, hi) = vals.split_at_mut(stride);
-            lo.par_iter_mut()
-                .zip(hi.par_iter_mut())
-                .with_min_len(policy.min_chunk)
-                .for_each(|(l, h)| {
-                    let x0 = *l;
-                    let x1 = *h;
-                    *l = x0 + x1;
-                    *h = x0 - x1;
-                });
-        } else {
-            let chunk = policy.chunk_len(len, block);
-            vals.par_chunks_mut(chunk).for_each(|c| {
-                for b in c.chunks_exact_mut(block) {
-                    butterfly_pass_serial_f64(b, stride);
-                }
-            });
-        }
-        stride <<= 1;
-    }
-}
-
 /// In-place unnormalized FWHT of a **real** vector — the form used by the
 /// cost-vector precompute, where both the sparse spectrum and the result
 /// are real.
+///
+/// Runs on the cache-blocked traversal: the low passes inside 1 MiB blocks,
+/// then the high passes on column tiles, i.e. the factorization
+/// `H_{2^n} = (H_R ⊗ I_C)(I_R ⊗ H_C)`. Every element goes through the same
+/// butterfly DAG in the same per-node operand order as the stride-by-stride
+/// schedule — only the traversal order of independent nodes changes — so
+/// the result is bit-identical to it, serial or parallel.
 pub fn fwht_f64(vals: &mut [f64], exec: impl Into<ExecPolicy>) {
-    let len = vals.len();
-    debug_assert!(len.is_power_of_two());
-    let policy = exec.into();
-    if policy.parallel(len) {
-        policy.install(|| fwht_f64_parallel(vals, &policy));
-    } else {
-        fwht_f64_blocked_serial(vals);
-    }
+    let n = vals.len().trailing_zeros() as usize;
+    debug_assert!(vals.len().is_power_of_two());
+    sweep(Lanes::new(vals), 0..n, &exec.into(), |_, lo, hi| {
+        butterfly_lanes(lo, hi)
+    });
 }
 
 /// Split-complex FWHT: transforms the `re` and `im` planes of a
@@ -247,27 +106,16 @@ pub fn fwht_f64(vals: &mut [f64], exec: impl Into<ExecPolicy>) {
 ///
 /// The complex butterfly `(x0, x1) ← (x0 + x1, x0 − x1)` never mixes real
 /// and imaginary parts, so the split-layout transform is literally two
-/// independent **real** transforms — each a pure `f64` stream the
-/// autovectorizer packs, each cache-blocked serially. Under a parallel
-/// policy the two planes run as a `join` pair of pass-parallel transforms.
+/// independent **real** transforms ([`fwht_f64`]) — each a pure `f64`
+/// stream the autovectorizer packs, each cache-blocked.
 ///
 /// # Panics
 /// If the planes have different lengths.
 pub fn fwht_split(re: &mut [f64], im: &mut [f64], exec: impl Into<ExecPolicy>) {
     assert_eq!(re.len(), im.len(), "plane length mismatch");
-    debug_assert!(re.len().is_power_of_two());
     let policy = exec.into();
-    if policy.parallel(re.len()) {
-        policy.install(|| {
-            rayon::join(
-                || fwht_f64_parallel(re, &policy),
-                || fwht_f64_parallel(im, &policy),
-            );
-        });
-    } else {
-        fwht_f64_blocked_serial(re);
-        fwht_f64_blocked_serial(im);
-    }
+    fwht_f64(re, policy);
+    fwht_f64(im, policy);
 }
 
 /// The transverse-field mixer via the Ref.\[43\] FWHT sandwich, **in place**:
@@ -474,16 +322,32 @@ mod tests {
 
     #[test]
     fn blocked_fwht_is_bit_identical_to_passes() {
-        // 2^16 doubles: four 2^14 rows, so both blocked steps (low passes
-        // per row, column-tiled high passes) genuinely engage.
-        let vals: Vec<f64> = (0..1usize << 16)
+        // 2^18 doubles: two 1 MiB blocks serially, so both blocked passes
+        // (low passes per block, column-tiled high passes) engage; the
+        // forced-parallel policies cut it into many smaller blocks and tiles.
+        let vals: Vec<f64> = (0..1usize << 18)
             .map(|i| (i as f64 * 0.7321).sin())
             .collect();
         let mut plain = vals.clone();
-        let mut blocked = vals;
-        fwht_f64_passes(&mut plain);
-        fwht_f64_blocked_serial(&mut blocked);
-        assert_eq!(plain, blocked, "blocked schedule must be bit-identical");
+        crate::blocked::sweep_unblocked(Lanes::new(&mut plain), 0..18, |_, lo, hi| {
+            butterfly_lanes(lo, hi)
+        });
+        let forced = ExecPolicy::rayon().with_min_len(1);
+        let policies = [
+            ExecPolicy::serial(),
+            ExecPolicy::rayon(),
+            forced.with_min_chunk(1).with_threads(2),
+            forced.with_min_chunk(64).with_threads(4),
+            forced.with_min_chunk(1 << 12).with_threads(1),
+        ];
+        for policy in policies {
+            let mut blocked = vals.clone();
+            fwht_f64(&mut blocked, policy);
+            assert!(
+                plain == blocked,
+                "{policy:?}: blocked schedule must be bit-identical"
+            );
+        }
     }
 
     #[test]

@@ -38,6 +38,7 @@
 
 #![warn(missing_docs)]
 
+mod blocked;
 pub mod complex;
 pub mod diag;
 pub mod exec;

@@ -1,76 +1,72 @@
 //! Algorithm 1 & 2 of the paper: in-place "fast SU(2)" butterfly kernels.
 //!
 //! `apply_mat2` applies `I ⊗ … ⊗ U ⊗ … ⊗ I` (single-qubit gate `U` on qubit
-//! `q`) by sweeping the state vector once and mixing amplitude pairs whose
-//! indices differ in bit `q` — Algorithm 1 with the paper's 1-based `d`
-//! replaced by `q = d − 1` (pair stride `2^q`).
+//! `q`) by mixing amplitude pairs whose indices differ in bit `q` —
+//! Algorithm 1 with the paper's 1-based `d` replaced by `q = d − 1` (pair
+//! stride `2^q`).
 //!
 //! `apply_uniform_mat2` is Algorithm 2: the same `U` applied to every qubit
-//! in sequence, which for `U = e^{-iβX}` is the whole transverse-field mixer
-//! `e^{-iβΣᵢXᵢ}` in `n` passes, in place, with no scratch memory — the
-//! paper's key advantage over the FWHT-sandwich approach (see `fwht`).
+//! in ascending order. For `U = e^{-iβX}` that is the whole
+//! transverse-field mixer `e^{-iβΣᵢXᵢ}`, which [`apply_x_mixer`] runs with
+//! a pair update specialised to `Rx` (real `cos β`/`sin β`: 8 multiplies per
+//! pair instead of the general complex 2×2 product's 16).
 //!
-//! Every entry point takes `impl Into<ExecPolicy>`; parallel sweeps split by
-//! the policy's chunking thresholds.
+//! None of these sweeps the state once per qubit. They all run on the
+//! two-pass cache-blocked traversal of `crate::blocked`: first every qubit
+//! below `b = 16` inside 1 MiB blocks of `2^16` amplitudes, then the
+//! qubits from `b` up on column tiles of the same size. So a mixer layer
+//! reads the state twice (for `n ≤ 26`), in place, with no scratch memory —
+//! the paper's advantage over the FWHT-sandwich approach (see `fwht`) kept.
+//! Each amplitude pair sees the same operations in the same order as in a
+//! qubit-by-qubit sweep, so results are bit-identical to that schedule and
+//! across pool sizes.
+//!
+//! The `Rx` update equals the general product with `Mat2::rx(β)` except
+//! for the sign of an exact zero (the general product adds `0·x` terms).
+//!
+//! Every entry point takes `impl Into<ExecPolicy>`; parallel sweeps split
+//! over blocks and tiles, never below the policy's `min_chunk`.
 
+use crate::blocked::{sweep, Lanes, Planes};
 use crate::complex::C64;
 use crate::exec::ExecPolicy;
 use crate::matrices::Mat2;
-use rayon::prelude::*;
 
-/// Mixes one amplitude pair: `(x0, x1) ← U · (x0, x1)`.
+/// Mixes two runs pairwise: `(lo_k, hi_k) ← U · (lo_k, hi_k)`.
 #[inline(always)]
-fn mix_pair(lo: &mut C64, hi: &mut C64, u: &Mat2) {
-    let x0 = *lo;
-    let x1 = *hi;
-    *lo = u.m[0][0] * x0 + u.m[0][1] * x1;
-    *hi = u.m[1][0] * x0 + u.m[1][1] * x1;
+fn mix_runs(lo: &mut [C64], hi: &mut [C64], u: &Mat2) {
+    for (l, h) in lo.iter_mut().zip(hi.iter_mut()) {
+        let x0 = *l;
+        let x1 = *h;
+        *l = u.m[0][0] * x0 + u.m[0][1] * x1;
+        *h = u.m[1][0] * x0 + u.m[1][1] * x1;
+    }
 }
 
-/// Processes one contiguous block of `2^{q+1}` amplitudes: the first half
-/// holds the `bit q = 0` partners, the second half the `bit q = 1` partners.
-#[inline]
-fn mix_block(block: &mut [C64], stride: usize, u: &Mat2) {
-    debug_assert_eq!(block.len(), stride * 2);
-    let (lo, hi) = block.split_at_mut(stride);
+/// The `Rx` pair update over two runs, `(x0, x1) ← (c·x0 − i s·x1,
+/// −i s·x0 + c·x1)` with `c = cos β`, `s = sin β`: the interleaved twin of
+/// the plane-wise `su4::xy_lanes`, with the same per-element operations.
+#[inline(always)]
+fn rx_runs(lo: &mut [C64], hi: &mut [C64], c: f64, s: f64) {
     for (l, h) in lo.iter_mut().zip(hi.iter_mut()) {
-        mix_pair(l, h, u);
+        let (x0, x1) = (*l, *h);
+        *l = C64::new(c * x0.re + s * x1.im, c * x0.im - s * x1.re);
+        *h = C64::new(s * x0.im + c * x1.re, c * x1.im - s * x0.re);
     }
+}
+
+/// Number of qubits of a power-of-two state length.
+fn qubits_of(len: usize) -> usize {
+    debug_assert!(len.is_power_of_two());
+    len.trailing_zeros() as usize
 }
 
 /// Serial Algorithm 1: applies `U` to qubit `q` of the state in place.
 ///
 /// # Panics
-/// If `q` is out of range for the vector length (debug builds).
+/// If `q` is out of range for the vector length.
 pub fn apply_mat2_serial(amps: &mut [C64], q: usize, u: &Mat2) {
-    let stride = 1usize << q;
-    debug_assert!(stride * 2 <= amps.len(), "qubit {q} out of range");
-    for block in amps.chunks_exact_mut(stride * 2) {
-        mix_block(block, stride, u);
-    }
-}
-
-/// Parallel Algorithm 1 splitting by `policy`.
-fn apply_mat2_parallel(amps: &mut [C64], q: usize, u: &Mat2, policy: &ExecPolicy) {
-    let len = amps.len();
-    let stride = 1usize << q;
-    let block = stride * 2;
-    debug_assert!(block <= len, "qubit {q} out of range");
-    if block >= len {
-        // Single block: parallelize across the pair index instead.
-        let (lo, hi) = amps.split_at_mut(stride);
-        lo.par_iter_mut()
-            .zip(hi.par_iter_mut())
-            .with_min_len(policy.min_chunk)
-            .for_each(|(l, h)| mix_pair(l, h, u));
-        return;
-    }
-    let chunk = policy.chunk_len(len, block);
-    amps.par_chunks_mut(chunk).for_each(|c| {
-        for b in c.chunks_exact_mut(block) {
-            mix_block(b, stride, u);
-        }
-    });
+    apply_mat2(amps, q, u, ExecPolicy::serial());
 }
 
 /// Pool-parallel Algorithm 1 with default thresholds. Falls back to the
@@ -80,27 +76,45 @@ pub fn apply_mat2_rayon(amps: &mut [C64], q: usize, u: &Mat2) {
 }
 
 /// Policy-dispatched Algorithm 1.
+///
+/// # Panics
+/// If `q` is out of range for the vector length.
 #[inline]
 pub fn apply_mat2(amps: &mut [C64], q: usize, u: &Mat2, exec: impl Into<ExecPolicy>) {
-    let policy = exec.into();
-    if policy.parallel(amps.len()) {
-        policy.install(|| apply_mat2_parallel(amps, q, u, &policy));
-    } else {
-        apply_mat2_serial(amps, q, u);
-    }
+    sweep(Lanes::new(amps), q..q + 1, &exec.into(), |_, lo, hi| {
+        mix_runs(lo, hi, u)
+    });
 }
 
 /// Algorithm 2: applies the same `U` to **every** qubit, i.e. `U^{⊗n}`,
-/// in place. For `U = Mat2::rx(β)` this is the full transverse-field mixer.
+/// in place, with the general 2×2 pair update.
 pub fn apply_uniform_mat2(amps: &mut [C64], u: &Mat2, exec: impl Into<ExecPolicy>) {
-    let policy = exec.into();
-    let n = amps.len().trailing_zeros() as usize;
-    debug_assert!(amps.len().is_power_of_two());
-    // One install covers all n per-qubit sweeps.
-    policy.install(|| {
-        for q in 0..n {
-            apply_mat2(amps, q, u, policy);
-        }
+    let n = qubits_of(amps.len());
+    sweep(Lanes::new(amps), 0..n, &exec.into(), |_, lo, hi| {
+        mix_runs(lo, hi, u)
+    });
+}
+
+/// The transverse-field mixer `e^{-iβΣᵢXᵢ}` in place: Algorithm 2 for
+/// `U = Mat2::rx(β)` with the specialised `Rx` pair update.
+pub fn apply_x_mixer(amps: &mut [C64], beta: f64, exec: impl Into<ExecPolicy>) {
+    let n = qubits_of(amps.len());
+    let (s, c) = beta.sin_cos();
+    sweep(Lanes::new(amps), 0..n, &exec.into(), |_, lo, hi| {
+        rx_runs(lo, hi, c, s)
+    });
+}
+
+/// Generalized Algorithm 2 with a per-qubit matrix: applies
+/// `U_{n-1} ⊗ … ⊗ U_1 ⊗ U_0` (qubit `i` receives `us[i]`).
+///
+/// # Panics
+/// If `us.len()` does not match the qubit count of the vector.
+pub fn apply_mat2_sequence(amps: &mut [C64], us: &[Mat2], exec: impl Into<ExecPolicy>) {
+    let n = qubits_of(amps.len());
+    assert_eq!(us.len(), n, "need one matrix per qubit");
+    sweep(Lanes::new(amps), 0..n, &exec.into(), |q, lo, hi| {
+        mix_runs(lo, hi, &us[q])
     });
 }
 
@@ -123,7 +137,7 @@ fn mat2_planes(u: &Mat2) -> [f64; 8] {
 }
 
 /// Plane-wise pair mix over four equal-length lane runs: the split twin of
-/// [`mix_pair`], with no complex multiplies in the loop — four independent
+/// [`mix_runs`], with no complex multiplies in the loop — four independent
 /// `f64` output streams the autovectorizer packs (or the explicit `simd`
 /// path handles).
 #[inline]
@@ -149,61 +163,15 @@ fn mix_planes(rl: &mut [f64], il: &mut [f64], rh: &mut [f64], ih: &mut [f64], m:
 /// `re`/`im` planes in place.
 ///
 /// # Panics
-/// If plane lengths differ, or `q` is out of range (debug builds).
+/// If plane lengths differ, or `q` is out of range.
 pub fn apply_mat2_split_serial(re: &mut [f64], im: &mut [f64], q: usize, u: &Mat2) {
-    assert_eq!(re.len(), im.len(), "plane length mismatch");
-    let stride = 1usize << q;
-    debug_assert!(stride * 2 <= re.len(), "qubit {q} out of range");
-    let m = mat2_planes(u);
-    for (rb, ib) in re
-        .chunks_exact_mut(stride * 2)
-        .zip(im.chunks_exact_mut(stride * 2))
-    {
-        let (rl, rh) = rb.split_at_mut(stride);
-        let (il, ih) = ib.split_at_mut(stride);
-        mix_planes(rl, il, rh, ih, &m);
-    }
-}
-
-/// Parallel split-plane Algorithm 1 splitting by `policy`.
-fn apply_mat2_split_parallel(
-    re: &mut [f64],
-    im: &mut [f64],
-    q: usize,
-    u: &Mat2,
-    policy: &ExecPolicy,
-) {
-    let len = re.len();
-    let stride = 1usize << q;
-    let block = stride * 2;
-    debug_assert!(block <= len, "qubit {q} out of range");
-    let m = mat2_planes(u);
-    if block >= len {
-        // Single block: parallelize across the pair index. The four plane
-        // halves chunk identically, so index-aligned zips stay in lockstep.
-        let (rl, rh) = re.split_at_mut(stride);
-        let (il, ih) = im.split_at_mut(stride);
-        let chunk = policy.chunk_len(stride, 1);
-        rl.par_chunks_mut(chunk)
-            .zip(il.par_chunks_mut(chunk))
-            .zip(rh.par_chunks_mut(chunk))
-            .zip(ih.par_chunks_mut(chunk))
-            .for_each(|(((rlc, ilc), rhc), ihc)| mix_planes(rlc, ilc, rhc, ihc, &m));
-        return;
-    }
-    let chunk = policy.chunk_len(len, block);
-    re.par_chunks_mut(chunk)
-        .zip(im.par_chunks_mut(chunk))
-        .for_each(|(rc, ic)| {
-            for (rb, ib) in rc.chunks_exact_mut(block).zip(ic.chunks_exact_mut(block)) {
-                let (rl, rh) = rb.split_at_mut(stride);
-                let (il, ih) = ib.split_at_mut(stride);
-                mix_planes(rl, il, rh, ih, &m);
-            }
-        });
+    apply_mat2_split(re, im, q, u, ExecPolicy::serial());
 }
 
 /// Policy-dispatched split-plane Algorithm 1.
+///
+/// # Panics
+/// If plane lengths differ, or `q` is out of range.
 #[inline]
 pub fn apply_mat2_split(
     re: &mut [f64],
@@ -212,48 +180,50 @@ pub fn apply_mat2_split(
     u: &Mat2,
     exec: impl Into<ExecPolicy>,
 ) {
-    assert_eq!(re.len(), im.len(), "plane length mismatch");
-    let policy = exec.into();
-    if policy.parallel(re.len()) {
-        policy.install(|| apply_mat2_split_parallel(re, im, q, u, &policy));
-    } else {
-        apply_mat2_split_serial(re, im, q, u);
-    }
+    let m = mat2_planes(u);
+    sweep(
+        Planes::new(re, im),
+        q..q + 1,
+        &exec.into(),
+        |_, (rl, il), (rh, ih)| mix_planes(rl, il, rh, ih, &m),
+    );
 }
 
 /// Split-plane Algorithm 2: applies the same `U` to every qubit of the
-/// `re`/`im` planes — the full transverse-field mixer for `U = rx(β)`.
+/// `re`/`im` planes with the general pair update.
+///
+/// # Panics
+/// If plane lengths differ.
 pub fn apply_uniform_mat2_split(
     re: &mut [f64],
     im: &mut [f64],
     u: &Mat2,
     exec: impl Into<ExecPolicy>,
 ) {
-    assert_eq!(re.len(), im.len(), "plane length mismatch");
-    let policy = exec.into();
-    let n = re.len().trailing_zeros() as usize;
-    debug_assert!(re.len().is_power_of_two());
-    policy.install(|| {
-        for q in 0..n {
-            apply_mat2_split(re, im, q, u, policy);
-        }
-    });
+    let n = qubits_of(re.len());
+    let m = mat2_planes(u);
+    sweep(
+        Planes::new(re, im),
+        0..n,
+        &exec.into(),
+        |_, (rl, il), (rh, ih)| mix_planes(rl, il, rh, ih, &m),
+    );
 }
 
-/// Generalized Algorithm 2 with a per-qubit matrix: applies
-/// `U_{n-1} ⊗ … ⊗ U_1 ⊗ U_0` (qubit `i` receives `us[i]`).
+/// Split-plane [`apply_x_mixer`]: the transverse-field mixer on the
+/// `re`/`im` planes, with the same per-element operations.
 ///
 /// # Panics
-/// If `us.len()` does not match the qubit count of the vector.
-pub fn apply_mat2_sequence(amps: &mut [C64], us: &[Mat2], exec: impl Into<ExecPolicy>) {
-    let policy = exec.into();
-    let n = amps.len().trailing_zeros() as usize;
-    assert_eq!(us.len(), n, "need one matrix per qubit");
-    policy.install(|| {
-        for (q, u) in us.iter().enumerate() {
-            apply_mat2(amps, q, u, policy);
-        }
-    });
+/// If plane lengths differ.
+pub fn apply_x_mixer_split(re: &mut [f64], im: &mut [f64], beta: f64, exec: impl Into<ExecPolicy>) {
+    let n = qubits_of(re.len());
+    let (s, c) = beta.sin_cos();
+    sweep(
+        Planes::new(re, im),
+        0..n,
+        &exec.into(),
+        |_, (rl, il), (rh, ih)| crate::su4::xy_lanes(rl, il, rh, ih, c, s),
+    );
 }
 
 #[cfg(test)]
@@ -426,6 +396,97 @@ mod tests {
         let (re, im) = split.planes_mut();
         apply_uniform_mat2_split(re, im, &u, Backend::Serial);
         assert!(split.max_abs_diff_interleaved(interleaved.amplitudes()) < 1e-12);
+    }
+
+    /// Pass-1 block width in qubits for 16-byte amplitudes (1 MiB blocks).
+    const B: usize = 16;
+
+    fn bits(amps: &[C64]) -> Vec<(u64, u64)> {
+        amps.iter()
+            .map(|a| (a.re.to_bits(), a.im.to_bits()))
+            .collect()
+    }
+
+    #[test]
+    fn x_mixer_matches_reference_across_the_block_boundary() {
+        let beta = 0.71;
+        for n in [3usize, B - 1, B, B + 1, 20] {
+            let s = random_state(n, 600 + n as u64);
+            let mut expect = s.amplitudes().to_vec();
+            for q in 0..n {
+                expect = reference::apply_1q_reference(&expect, q, &Mat2::rx(beta));
+            }
+            for policy in [ExecPolicy::serial(), ExecPolicy::rayon()] {
+                let mut got = s.clone();
+                apply_x_mixer(got.amplitudes_mut(), beta, policy);
+                assert_close(got.amplitudes(), &expect, 1e-12);
+                let mut split = crate::split::SplitStateVec::from(&s);
+                let (re, im) = split.planes_mut();
+                apply_x_mixer_split(re, im, beta, policy);
+                assert!(split.max_abs_diff_interleaved(&expect) <= 1e-12, "n = {n}");
+            }
+        }
+    }
+
+    #[test]
+    fn x_mixer_is_bit_identical_across_pools_and_to_the_unblocked_schedule() {
+        use crate::blocked::{sweep_unblocked, Lanes, Planes};
+        let beta = 1.13f64;
+        let (sin, cos) = beta.sin_cos();
+        let forced = ExecPolicy::rayon().with_min_len(1);
+        for n in [5usize, 11, B + 2] {
+            let s = random_state(n, 700 + n as u64);
+            let mut plain = s.clone();
+            sweep_unblocked(Lanes::new(plain.amplitudes_mut()), 0..n, |_, lo, hi| {
+                rx_runs(lo, hi, cos, sin)
+            });
+            let mut plain_split = crate::split::SplitStateVec::from(&s);
+            let (re, im) = plain_split.planes_mut();
+            sweep_unblocked(Planes::new(re, im), 0..n, |_, (rl, il), (rh, ih)| {
+                crate::su4::xy_lanes(rl, il, rh, ih, cos, sin)
+            });
+            for threads in [1usize, 2, 4] {
+                for min_chunk in [1usize, 64, 1 << 12] {
+                    let policy = forced.with_min_chunk(min_chunk).with_threads(threads);
+                    let mut got = s.clone();
+                    apply_x_mixer(got.amplitudes_mut(), beta, policy);
+                    assert_eq!(
+                        bits(got.amplitudes()),
+                        bits(plain.amplitudes()),
+                        "{policy:?}"
+                    );
+                    let mut split = crate::split::SplitStateVec::from(&s);
+                    let (re, im) = split.planes_mut();
+                    apply_x_mixer_split(re, im, beta, policy);
+                    let same = split
+                        .planes()
+                        .0
+                        .iter()
+                        .zip(plain_split.planes().0)
+                        .all(|(a, b)| a.to_bits() == b.to_bits())
+                        && split
+                            .planes()
+                            .1
+                            .iter()
+                            .zip(plain_split.planes().1)
+                            .all(|(a, b)| a.to_bits() == b.to_bits());
+                    assert!(same, "split, n = {n}, {policy:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn rx_update_equals_the_general_product() {
+        // Equal under `==`: only the sign of an exact zero may differ.
+        for n in [4usize, 13] {
+            let beta = 0.29;
+            let mut rx = random_state(n, 800 + n as u64);
+            let mut general = rx.clone();
+            apply_x_mixer(rx.amplitudes_mut(), beta, Backend::Serial);
+            apply_uniform_mat2(general.amplitudes_mut(), &Mat2::rx(beta), Backend::Serial);
+            assert_eq!(rx.amplitudes(), general.amplitudes(), "n = {n}");
+        }
     }
 
     #[test]

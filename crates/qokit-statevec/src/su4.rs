@@ -239,9 +239,18 @@ fn for_each_base_run(chunk_len: usize, ql: usize, qh: usize, mut f: impl FnMut(u
 }
 
 /// Plane-wise XY rotation over the |01⟩/|10⟩ lane runs — the split twin of
-/// the [`apply_xy_serial`] pair update, four independent `f64` streams.
+/// the [`apply_xy_serial`] pair update, four independent `f64` streams. The
+/// same rotation is the `Rx` pair update of the split X mixer
+/// (`su2::apply_x_mixer_split`).
 #[inline]
-fn xy_lanes(r01: &mut [f64], i01: &mut [f64], r10: &mut [f64], i10: &mut [f64], c: f64, s: f64) {
+pub(crate) fn xy_lanes(
+    r01: &mut [f64],
+    i01: &mut [f64],
+    r10: &mut [f64],
+    i10: &mut [f64],
+    c: f64,
+    s: f64,
+) {
     #[cfg(feature = "simd")]
     if crate::simd::xy_mix_f64(r01, i01, r10, i10, c, s) {
         return;
