@@ -34,8 +34,11 @@ pub struct SimOptions {
     pub exec: ExecPolicy,
     /// Cost-vector precompute algorithm.
     pub precompute: PrecomputeMethod,
-    /// Store the diagonal as `u16` when it fits exactly on an integer grid
-    /// (§V-B; falls back to `f64` with a warning-free no-op otherwise).
+    /// Store the diagonal as the affine `u16` of §V-B (`offset + k`) when
+    /// it fits exactly on the integer grid; falls back to `f64` with a
+    /// warning-free no-op otherwise. The default FWHT diagonal of an
+    /// integer-weighted problem such as LABS is already 2 bytes per entry
+    /// ([`CostVec::Coded`]), so this knob only changes the representation.
     pub quantize_u16: bool,
     /// Initial state.
     pub initial: InitialState,
@@ -158,15 +161,23 @@ impl FurSimulator {
     /// Builds a simulator with explicit options. The cost diagonal is
     /// precomputed (and optionally quantized) here, at construction — the
     /// "Precompute diagonal" box of Fig. 1.
+    ///
+    /// With the FWHT precompute and no `quantize_u16`, the diagonal is
+    /// [`CostVec::from_polynomial_coded`]: coded (2 bytes per entry) when
+    /// the weights allow, bit-identical to the `f64` diagonal either way.
     pub fn with_options(poly: &SpinPolynomial, options: SimOptions) -> Self {
-        let costs_f64 = qokit_costvec::precompute(poly, options.precompute, options.exec);
-        let costs = if options.quantize_u16 {
-            match CostVec::quantize_exact(&costs_f64, 1.0) {
-                Ok(q) => q,
-                Err(_) => CostVec::F64(costs_f64),
+        let costs = match options.precompute {
+            PrecomputeMethod::Fwht if !options.quantize_u16 => {
+                CostVec::from_polynomial_coded(poly, options.exec)
             }
-        } else {
-            CostVec::F64(costs_f64)
+            method => {
+                let costs_f64 = qokit_costvec::precompute(poly, method, options.exec);
+                if options.quantize_u16 {
+                    CostVec::quantize_exact(&costs_f64, 1.0).unwrap_or(CostVec::F64(costs_f64))
+                } else {
+                    CostVec::F64(costs_f64)
+                }
+            }
         };
         FurSimulator {
             n: poly.n_vars(),

@@ -1,16 +1,32 @@
-//! The stored cost diagonal `⃗C` and its two representations.
+//! The stored cost diagonal `⃗C` and its three representations.
+//!
+//! | variant | bytes per entry | holds | built by |
+//! |---|---|---|---|
+//! | [`CostVec::F64`] | 8 | the costs | [`CostVec::from_polynomial`], or [`CostVec::from_polynomial_coded`] when the costs cannot be coded |
+//! | [`CostVec::Coded`] | 2 (+ 8 per distinct cost) | `levels[codes[x]]` | [`CostVec::from_polynomial_coded`] — the default `FurSimulator` diagonal |
+//! | [`CostVec::U16`] | 2 | `offset + step·data[x]` | [`CostVec::quantize_exact`], [`CostVec::quantize_lossy`] |
 //!
 //! The paper stores the precomputed diagonal either as `f64` (default) or —
 //! when the cost values are integers of known range, as for LABS where
 //! `max f < 2^16` for `n < 65` (§V-B) — as `u16`, which cuts the memory
 //! overhead of the cost vector to 2 bytes against 16 bytes per `complex128`
 //! amplitude: the "+12.5 %" figure of the introduction.
+//!
+//! `Coded` reaches the same 2 bytes without rounding anything. When the
+//! polynomial's weights are integers after one power-of-two scale (LABS;
+//! MaxCut's ½), the FWHT precompute runs on `i32` and each cost becomes a
+//! code into the sorted table of the distinct costs that occur. A decoded
+//! cost has the bits of the `f64` one, so every kernel on a coded diagonal
+//! is bit-identical to the `f64` kernel, and the phase needs one `cis` per
+//! distinct cost, with no per-call scan of the diagonal.
 
-use crate::precompute::{precompute, PrecomputeMethod};
+use crate::precompute::{precompute, precompute_fwht, precompute_fwht_i32, PrecomputeMethod};
 use qokit_statevec::diag;
 use qokit_statevec::exec::ExecPolicy;
 use qokit_statevec::C64;
 use qokit_terms::SpinPolynomial;
+use rayon::prelude::*;
+use std::sync::atomic::{AtomicU16, Ordering};
 
 /// Error cases for `u16` quantization.
 #[derive(Clone, Debug, PartialEq)]
@@ -66,11 +82,29 @@ impl std::fmt::Display for QuantizeError {
 
 impl std::error::Error for QuantizeError {}
 
-/// The precomputed cost diagonal, in either representation.
+/// The code `k` whose decode `offset + step·k` reproduces `value` bit for
+/// bit, if one exists — the acceptance rule of every exact `u16` quantizer,
+/// so a value just off the grid is refused rather than rounded onto it.
+pub fn grid_code(value: f64, offset: f64, step: f64) -> Option<u16> {
+    // Saturating cast: NaN and out-of-range levels decode to something
+    // else and fail the check.
+    let k = ((value - offset) / step).round() as u16;
+    ((offset + step * k as f64).to_bits() == value.to_bits()).then_some(k)
+}
+
+/// The precomputed cost diagonal, in one of three representations (see the
+/// module docs).
 #[derive(Clone, Debug)]
 pub enum CostVec {
     /// Full-precision values.
     F64(Vec<f64>),
+    /// Coded values: `c_x = levels[codes[x]]`.
+    Coded {
+        /// Per-entry index into `levels`; every code must have a level.
+        codes: Vec<u16>,
+        /// The distinct costs, ascending, each used by some code.
+        levels: Vec<f64>,
+    },
     /// Quantized values: `c_x = offset + step·data[x]`.
     U16 {
         /// Quantized levels.
@@ -92,9 +126,32 @@ impl CostVec {
         CostVec::F64(precompute(poly, method, exec))
     }
 
+    /// Precomputes the diagonal by FWHT and stores it [`CostVec::Coded`]
+    /// when that is exact and smaller:
+    ///
+    /// * every weight is an integer after one power-of-two scale, and the
+    ///   scaled weights sum in absolute value to at most `i32::MAX`;
+    /// * the costs span at most `u16::MAX` grid steps;
+    /// * there are at least two distinct costs (one is a global phase);
+    /// * codes plus levels take fewer bytes than the `f64` vector.
+    ///
+    /// Otherwise returns [`CostVec::F64`] with the bits of
+    /// [`precompute_fwht`]. The coded route never builds an `f64` vector:
+    /// the transform runs on 4-byte `i32` lanes, which are dropped once
+    /// the 2-byte codes are written. Vectors of at least the policy's
+    /// `min_len` are coded in parallel, smaller ones serially.
+    pub fn from_polynomial_coded(poly: &SpinPolynomial, exec: impl Into<ExecPolicy>) -> Self {
+        let policy = exec.into();
+        match precompute_fwht_i32(poly, policy) {
+            Some((vals, scale)) => code_integers(vals, scale, policy),
+            None => CostVec::F64(precompute_fwht(poly, policy)),
+        }
+    }
+
     /// Exact `u16` quantization on the integer grid `offset + step·k`:
     /// every value must already be of that form (the LABS case with
-    /// `step = 1`). Fails loudly rather than rounding.
+    /// `step = 1`), reproduced bit for bit by its decode (see
+    /// [`grid_code`]). Fails loudly rather than rounding.
     pub fn quantize_exact(costs: &[f64], step: f64) -> Result<Self, QuantizeError> {
         assert!(step > 0.0, "quantization step must be positive");
         if let Some((index, &value)) = costs.iter().enumerate().find(|(_, v)| !v.is_finite()) {
@@ -114,12 +171,10 @@ impl CostVec {
         }
         let mut data = Vec::with_capacity(costs.len());
         for (index, &value) in costs.iter().enumerate() {
-            let level = (value - min) / step;
-            let rounded = level.round();
-            if (level - rounded).abs() > 1e-6 {
-                return Err(QuantizeError::NotIntegral { index, value });
+            match grid_code(value, min, step) {
+                Some(k) => data.push(k),
+                None => return Err(QuantizeError::NotIntegral { index, value }),
             }
-            data.push(rounded as u16);
         }
         Ok(CostVec::U16 {
             data,
@@ -160,6 +215,7 @@ impl CostVec {
     pub fn len(&self) -> usize {
         match self {
             CostVec::F64(v) => v.len(),
+            CostVec::Coded { codes, .. } => codes.len(),
             CostVec::U16 { data, .. } => data.len(),
         }
     }
@@ -180,14 +236,17 @@ impl CostVec {
     pub fn value(&self, x: usize) -> f64 {
         match self {
             CostVec::F64(v) => v[x],
+            CostVec::Coded { codes, levels } => levels[codes[x] as usize],
             CostVec::U16 { data, offset, step } => offset + step * data[x] as f64,
         }
     }
 
-    /// Materializes the full-precision vector (allocates for `U16`).
+    /// Materializes the full-precision vector (allocates for `Coded` and
+    /// `U16`).
     pub fn to_f64_vec(&self) -> Vec<f64> {
         match self {
             CostVec::F64(v) => v.clone(),
+            CostVec::Coded { codes, levels } => codes.iter().map(|&q| levels[q as usize]).collect(),
             CostVec::U16 { data, offset, step } => {
                 data.iter().map(|&q| offset + step * q as f64).collect()
             }
@@ -199,6 +258,9 @@ impl CostVec {
     pub fn apply_phase(&self, amps: &mut [C64], gamma: f64, exec: impl Into<ExecPolicy>) {
         match self {
             CostVec::F64(v) => diag::apply_phase(amps, v, gamma, exec),
+            CostVec::Coded { codes, levels } => {
+                diag::apply_phase_coded(amps, codes, levels, gamma, exec)
+            }
             CostVec::U16 { data, offset, step } => {
                 diag::apply_phase_u16(amps, data, *offset, *step, gamma, exec)
             }
@@ -210,6 +272,7 @@ impl CostVec {
     pub fn expectation(&self, amps: &[C64], exec: impl Into<ExecPolicy>) -> f64 {
         match self {
             CostVec::F64(v) => diag::expectation(amps, v, exec),
+            CostVec::Coded { codes, levels } => diag::expectation_coded(amps, codes, levels, exec),
             CostVec::U16 { data, offset, step } => {
                 diag::expectation_u16(amps, data, *offset, *step, exec)
             }
@@ -227,6 +290,9 @@ impl CostVec {
     ) {
         match self {
             CostVec::F64(v) => diag::apply_phase_split(re, im, v, gamma, exec),
+            CostVec::Coded { codes, levels } => {
+                diag::apply_phase_coded_split(re, im, codes, levels, gamma, exec)
+            }
             CostVec::U16 { data, offset, step } => {
                 diag::apply_phase_u16_split(re, im, data, *offset, *step, gamma, exec)
             }
@@ -237,6 +303,9 @@ impl CostVec {
     pub fn expectation_split(&self, re: &[f64], im: &[f64], exec: impl Into<ExecPolicy>) -> f64 {
         match self {
             CostVec::F64(v) => diag::expectation_split(re, im, v, exec),
+            CostVec::Coded { codes, levels } => {
+                diag::expectation_coded_split(re, im, codes, levels, exec)
+            }
             CostVec::U16 { data, offset, step } => {
                 diag::expectation_u16_split(re, im, data, *offset, *step, exec)
             }
@@ -245,12 +314,16 @@ impl CostVec {
 
     /// Minimum and maximum cost values.
     pub fn extrema(&self) -> (f64, f64) {
-        match self {
-            CostVec::F64(v) => v
-                .iter()
+        let fold = |v: &[f64]| {
+            v.iter()
                 .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), &c| {
                     (lo.min(c), hi.max(c))
-                }),
+                })
+        };
+        match self {
+            CostVec::F64(v) => fold(v),
+            // Every level is used, so the levels' extrema are the costs'.
+            CostVec::Coded { levels, .. } => fold(levels),
             CostVec::U16 { data, offset, step } => {
                 let (lo, hi) = data
                     .iter()
@@ -279,17 +352,109 @@ impl CostVec {
     pub fn memory_bytes(&self) -> usize {
         match self {
             CostVec::F64(v) => v.len() * std::mem::size_of::<f64>(),
+            CostVec::Coded { codes, levels } => {
+                codes.len() * std::mem::size_of::<u16>() + levels.len() * std::mem::size_of::<f64>()
+            }
             CostVec::U16 { data, .. } => data.len() * std::mem::size_of::<u16>(),
         }
     }
 
     /// Memory overhead of this cost vector relative to the `complex128`
     /// state vector it accompanies — the paper's 12.5 % claim is
-    /// `overhead_vs_state() == 0.125` for the `U16` representation.
+    /// `overhead_vs_state() == 0.125` for the `U16` representation (and
+    /// just above it for `Coded`, whose level table adds 8 bytes per
+    /// distinct cost).
     pub fn overhead_vs_state(&self) -> f64 {
         let state_bytes = self.len() * qokit_statevec::AMP_BYTES;
         self.memory_bytes() as f64 / state_bytes as f64
     }
+}
+
+/// Codes the integer diagonal `c_x = vals[x]·scale` (see
+/// [`CostVec::from_polynomial_coded`] for when it qualifies), or widens it
+/// to [`CostVec::F64`] when it does not. Three passes over `vals` — extrema,
+/// used levels, codes — each parallel only when `policy` says so for the
+/// length, and none allocating per chunk.
+fn code_integers(vals: Vec<i32>, scale: f64, policy: ExecPolicy) -> CostVec {
+    let len = vals.len();
+    let par = policy.parallel(len);
+    let widen = |vals: Vec<i32>| {
+        let decode = |&v: &i32| v as f64 * scale;
+        CostVec::F64(if par {
+            policy.install(|| {
+                vals.par_iter()
+                    .with_min_len(policy.min_chunk)
+                    .map(decode)
+                    .collect()
+            })
+        } else {
+            vals.iter().map(decode).collect()
+        })
+    };
+    let empty = (i32::MAX, i32::MIN);
+    let merge = |a: (i32, i32), b: (i32, i32)| (a.0.min(b.0), a.1.max(b.1));
+    let (lo, hi) = if par {
+        policy.install(|| {
+            vals.par_iter()
+                .with_min_len(policy.min_chunk)
+                .map(|&v| (v, v))
+                .reduce(|| empty, merge)
+        })
+    } else {
+        vals.iter().map(|&v| (v, v)).fold(empty, merge)
+    };
+    if hi as i64 - lo as i64 > u16::MAX as i64 {
+        return widen(vals);
+    }
+    let offset = |v: i32| (v as i64 - lo as i64) as usize;
+    // One slot per grid step: nonzero once its level occurs, then its code.
+    let mut slots: Vec<AtomicU16> = (lo..=hi).map(|_| AtomicU16::new(0)).collect();
+    let mark = |&v: &i32| {
+        let slot = &slots[offset(v)];
+        // Load first: a slot's cache line is written once, then only read.
+        // Relaxed suffices: a slot publishes no other data, and the pool's
+        // join orders every store before the reads below.
+        if slot.load(Ordering::Relaxed) == 0 {
+            slot.store(1, Ordering::Relaxed);
+        }
+    };
+    if par {
+        policy.install(|| {
+            vals.par_iter()
+                .with_min_len(policy.min_chunk)
+                .for_each(mark)
+        });
+    } else {
+        vals.iter().for_each(mark);
+    }
+    let used = slots
+        .iter()
+        .filter(|s| s.load(Ordering::Relaxed) != 0)
+        .count();
+    let coded_bytes = len * std::mem::size_of::<u16>() + used * std::mem::size_of::<f64>();
+    if used < 2 || coded_bytes >= len * std::mem::size_of::<f64>() {
+        return widen(vals);
+    }
+    let mut levels = Vec::with_capacity(used);
+    for (v, slot) in (lo..=hi).zip(&mut slots) {
+        let slot = slot.get_mut();
+        if *slot != 0 {
+            *slot = levels.len() as u16;
+            levels.push(v as f64 * scale);
+        }
+    }
+    let code = |&v: &i32| slots[offset(v)].load(Ordering::Relaxed);
+    let codes = if par {
+        policy.install(|| {
+            vals.par_iter()
+                .with_min_len(policy.min_chunk)
+                .map(code)
+                .collect()
+        })
+    } else {
+        vals.iter().map(code).collect()
+    };
+    CostVec::Coded { codes, levels }
 }
 
 #[cfg(test)]
@@ -463,6 +628,50 @@ mod tests {
             let ei = cv.expectation(inter.amplitudes(), Backend::Serial);
             assert_eq!(es, ei);
         }
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn labs_and_maxcut_code_to_the_f64_bits() {
+        let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(9);
+        let cases = [
+            labs_terms(11),
+            maxcut_polynomial(&Graph::random_regular(10, 3, &mut rng)),
+        ];
+        let forced = ExecPolicy::rayon().with_min_len(1).with_min_chunk(8);
+        for poly in cases {
+            let f64s = crate::precompute_fwht(&poly, Backend::Serial);
+            let serial = CostVec::from_polynomial_coded(&poly, Backend::Serial);
+            let CostVec::Coded { codes, levels } = &serial else {
+                panic!("integer and half-integer weights must code");
+            };
+            assert!(levels.windows(2).all(|w| w[0] < w[1]), "sorted, distinct");
+            let mut used = vec![false; levels.len()];
+            codes.iter().for_each(|&q| used[q as usize] = true);
+            assert!(used.iter().all(|&u| u), "every level is used");
+            assert_eq!(bits(&serial.to_f64_vec()), bits(&f64s));
+            assert_eq!(
+                serial.memory_bytes(),
+                2 * f64s.len() + 8 * levels.len(),
+                "codes plus levels"
+            );
+            let parallel = CostVec::from_polynomial_coded(&poly, forced.with_threads(2));
+            assert_eq!(bits(&parallel.to_f64_vec()), bits(&f64s), "parallel coder");
+        }
+    }
+
+    #[test]
+    fn exact_quantization_refuses_near_misses() {
+        // Within the old 1e-6 tolerance, but not on the grid.
+        let err = CostVec::quantize_exact(&[0.0, 2.0000001], 1.0).unwrap_err();
+        assert!(matches!(err, QuantizeError::NotIntegral { index: 1, .. }));
+        assert_eq!(grid_code(5.0, -3.0, 0.5), Some(16));
+        assert_eq!(grid_code(5.25, -3.0, 0.5), None);
+        assert_eq!(grid_code(f64::NAN, 0.0, 1.0), None);
+        assert_eq!(grid_code(70000.0, 0.0, 1.0), None, "past u16::MAX");
     }
 
     #[test]

@@ -17,8 +17,8 @@
 //!   `|T| ≈ 87n`. Both algorithms are exact; tests assert they agree.
 
 use qokit_statevec::exec::ExecPolicy;
-use qokit_statevec::fwht::fwht_f64;
-use qokit_terms::SpinPolynomial;
+use qokit_statevec::fwht::fwht_real;
+use qokit_terms::{SpinPolynomial, Term};
 use rayon::prelude::*;
 
 /// Which precomputation algorithm to run.
@@ -73,8 +73,48 @@ pub fn precompute_fwht(poly: &SpinPolynomial, exec: impl Into<ExecPolicy>) -> Ve
         // Duplicate masks simply accumulate — no canonicalization needed.
         out[t.mask as usize] += t.weight;
     }
-    fwht_f64(&mut out, exec);
+    fwht_real(&mut out, exec);
     out
+}
+
+/// The integer route of [`precompute_fwht`]: when every weight times `2^s`
+/// is an integer for some `s ≥ 0` (the smallest is taken) and those
+/// integers sum in absolute value to at most `i32::MAX`, runs the FWHT on
+/// `i32` lanes and returns it with the decode factor `2^-s`.
+///
+/// `c_x = out[x] as f64 * 2^-s` then has the bits of `precompute_fwht`'s
+/// `c_x`: every `f64` partial sum of that transform is a multiple of
+/// `2^-s` below `2^31·2^-s` in magnitude, so it is exact, and neither path
+/// ever forms `−0.0`. `None` when the weights do not qualify.
+pub(crate) fn precompute_fwht_i32(
+    poly: &SpinPolynomial,
+    exec: impl Into<ExecPolicy>,
+) -> Option<(Vec<i32>, f64)> {
+    let terms = poly.terms();
+    let norm: f64 = terms.iter().map(|t| t.weight.abs()).sum();
+    if !norm.is_finite() {
+        return None;
+    }
+    let mut scale = 1.0f64;
+    // Each doubling of the scale doubles the scaled norm, so the loop ends
+    // once that passes i32::MAX (a float bound; the exact one follows).
+    while norm * scale <= i32::MAX as f64 {
+        if terms.iter().all(|t| (t.weight * scale).fract() == 0.0) {
+            // Exact: each scaled weight is an integer below 2^32 here.
+            let scaled = |t: &Term| (t.weight * scale) as i64;
+            if terms.iter().map(|t| scaled(t).unsigned_abs()).sum::<u64>() > i32::MAX as u64 {
+                return None;
+            }
+            let mut out = vec![0i32; 1usize << poly.n_vars()];
+            for t in terms {
+                out[t.mask as usize] += scaled(t) as i32;
+            }
+            fwht_real(&mut out, exec);
+            return Some((out, 1.0 / scale));
+        }
+        scale *= 2.0;
+    }
+    None
 }
 
 /// Dispatches on [`PrecomputeMethod`].

@@ -14,7 +14,7 @@
 use crate::comm::{BspComm, CommStats};
 use crate::transport::{self, Transport, TransportError};
 use crate::wire::Request;
-use qokit_costvec::fill_direct_slice;
+use qokit_costvec::{fill_direct_slice, grid_code};
 use qokit_statevec::diag::{apply_phase_serial, expectation_serial};
 use qokit_statevec::su2::apply_mat2_serial;
 use qokit_statevec::{Mat2, StateVec, C64};
@@ -423,8 +423,9 @@ impl DistSimulator {
 
     /// §V-B: quantize every rank's slice onto a globally agreed integer
     /// grid (offset = global min, step 1). Costs a few scalar all-reduces
-    /// and a local integrality check — still no bulk traffic. Non-integral
-    /// or too-wide costs silently keep the `f64` slices.
+    /// and a local check that every cost is its own decode bit for bit
+    /// ([`grid_code`]) — still no bulk traffic. Off-grid or too-wide costs
+    /// silently keep the `f64` slices.
     fn quantize_ranks(&self, comm: &BspComm, ranks: &mut [RankState]) {
         let extrema = comm.superstep_map(ranks, |_, s| {
             s.costs
@@ -441,10 +442,7 @@ impl DistSimulator {
         // Every rank computes `fits` identically (global extrema), but
         // integrality is local: agree with a min-reduce.
         let flags = comm.superstep_map(ranks, |_, s| {
-            let integral = s
-                .costs
-                .iter()
-                .all(|&c| (c - gmin - (c - gmin).round()).abs() < 1e-6);
+            let integral = s.costs.iter().all(|&c| grid_code(c, gmin, 1.0).is_some());
             if integral && fits {
                 1.0
             } else {

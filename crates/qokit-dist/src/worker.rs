@@ -24,7 +24,7 @@ use qokit_core::batch::{SweepError, SweepNesting, SweepOptions, SweepRunner};
 use qokit_core::lightcone::cone_zz;
 use qokit_core::simulator::{FurSimulator, InitialState, SimOptions};
 use qokit_core::Mixer;
-use qokit_costvec::fill_direct_slice;
+use qokit_costvec::{fill_direct_slice, grid_code};
 use qokit_statevec::diag::{apply_phase_serial, expectation_serial};
 use qokit_statevec::exec::ExecPolicy;
 use qokit_statevec::su2::apply_mat2_serial;
@@ -107,7 +107,7 @@ impl SimRank {
         let integral = self
             .costs
             .iter()
-            .all(|&c| (c - gmin - (c - gmin).round()).abs() < 1e-6);
+            .all(|&c| grid_code(c, gmin, 1.0).is_some());
         if integral && fits {
             1.0
         } else {

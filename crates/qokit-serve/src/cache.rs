@@ -398,4 +398,34 @@ mod tests {
         );
         assert_eq!(cache.stats().bytes, (1u64 << 8) * 2);
     }
+
+    #[test]
+    fn coded_entries_are_charged_codes_plus_levels() {
+        // The default spec (FWHT, no u16 knob) codes LABS: 2 bytes per
+        // entry plus 8 per distinct cost, so a budget of one f64-sized
+        // n = 12 entry holds three coded ones, and the fourth evicts.
+        let n = 12;
+        let cache = PrecomputeCache::new(cost_bytes(n));
+        let default_spec = SweepSimSpec {
+            precompute: PrecomputeMethod::Fwht,
+            ..spec()
+        };
+        let problems: Vec<SpinPolynomial> = (1..=4)
+            .map(|k| labs_terms(n).with_offset(k as f64))
+            .collect();
+        let mut charged = 0u64;
+        for poly in &problems[..3] {
+            let (sim, _) = cache.get_or_build(poly, default_spec);
+            let levels = match sim.cost_diagonal() {
+                qokit_costvec::CostVec::Coded { levels, .. } => levels.len(),
+                other => panic!("LABS must be coded, got {other:?}"),
+            };
+            charged += (2 * (1 << n) + 8 * levels) as u64;
+            assert_eq!(cache.stats().bytes, charged);
+        }
+        assert_eq!((cache.len(), cache.stats().evictions), (3, 0));
+        cache.get_or_build(&problems[3], default_spec);
+        assert_eq!((cache.len(), cache.stats().evictions), (3, 1));
+        assert!(!cache.contains(&problems[0], default_spec));
+    }
 }

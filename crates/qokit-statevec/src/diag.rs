@@ -6,17 +6,31 @@
 //! `⟨γβ|Ĉ|γβ⟩` is a single inner product `Σ c_k |ψ_k|²` (`expectation`) —
 //! no gates, no extra state copies.
 //!
-//! Each kernel has an `f64` variant and a `u16` variant. The latter operates
-//! on the quantized cost vector of §V-B of the paper (`value = offset +
-//! scale·q`), decoding on the fly so the 2-byte representation never
-//! inflates to 8 bytes in memory.
+//! Each kernel comes in three variants, one per stored diagonal:
+//!
+//! * `f64` — the costs themselves.
+//! * `u16` — the affine quantized vector of §V-B of the paper
+//!   (`value = offset + scale·q`), decoded on the fly so the 2-byte
+//!   representation never inflates to 8 bytes in memory.
+//! * `coded` — `value = levels[codes[x]]`: a `u16` code per entry into a
+//!   sorted table of the distinct costs. `qokit-costvec` builds it once, at
+//!   precompute, for integer (or dyadic) weights; `levels[codes[x]]` has the
+//!   bits of the `f64` cost, so the coded kernels reproduce the `f64` ones
+//!   bit for bit.
 //!
 //! # The phase table
 //!
 //! Costs of the common problems sit on an integer grid: the LABS diagonal
 //! at `n = 22` (`labs_terms`) spans 1637 integer levels, 201 of them
-//! taken, over 4M entries, and a `u16` vector is a grid by construction. So every phase entry point (interleaved,
-//! split, `f64`, `u16`, serial, parallel) goes through one per-call table:
+//! taken, over 4M entries. The coded kernels use that directly: the codes
+//! are built once, when the diagonal is precomputed, so a phase call
+//! computes `t[k] = cis(−γ·levels[k])` once per distinct level and then
+//! multiplies `ψ_x` by `t[codes[x]]`, with no scan of the diagonal.
+//!
+//! The `f64` and `u16` entry points (interleaved, split, serial, parallel)
+//! serve what is not coded — the `f64` vectors of `CostVec::F64`, the
+//! §V-B `u16` vectors, and raw cost slices such as the distributed ranks'
+//! — and rediscover the grid on every call through one private table:
 //!
 //! 1. Scan the diagonal's finite extrema `lo ≤ hi` (for `u16`, of the
 //!    codes `q`).
@@ -30,10 +44,10 @@
 //!    `cis(−γ·c(x))` for that entry.
 //!
 //! A table entry is computed by the same expression, from the same bits,
-//! as the per-entry `cis` it replaces, so the phase is bit-identical to
-//! calling `C64::cis(−γ·c_k)` on every entry, while an integer-valued
-//! diagonal costs about one `sin_cos` per distinct level instead of one
-//! per amplitude.
+//! as the per-entry `cis` it replaces, so either table gives a phase
+//! bit-identical to calling `C64::cis(−γ·c_k)` on every entry, while an
+//! integer-valued diagonal costs about one `sin_cos` per distinct level
+//! instead of one per amplitude.
 //!
 //! Every dispatcher takes `impl Into<ExecPolicy>`; parallel sweeps split by
 //! the policy's chunking thresholds.
@@ -449,6 +463,141 @@ pub fn expectation_u16_split(
     offset * norm + scale * raw
 }
 
+// ------------------------------------------------------------------ coded
+
+/// The phase factors of a coded diagonal: `t[k] = cis(−γ·levels[k])`.
+fn level_factors(levels: &[f64], gamma: f64) -> Vec<C64> {
+    levels.iter().map(|&c| C64::cis(-gamma * c)).collect()
+}
+
+/// Phase operator over a coded diagonal `c_x = levels[codes[x]]`: one
+/// `cis` per level, then `ψ_x ← t[codes[x]]·ψ_x`. Bit-identical to
+/// [`apply_phase`] on the decoded costs.
+///
+/// # Panics
+/// If `amps` and `codes` lengths differ, or a code has no level.
+pub fn apply_phase_coded(
+    amps: &mut [C64],
+    codes: &[u16],
+    levels: &[f64],
+    gamma: f64,
+    exec: impl Into<ExecPolicy>,
+) {
+    assert_eq!(amps.len(), codes.len(), "cost vector length mismatch");
+    let policy = exec.into();
+    let t = level_factors(levels, gamma);
+    if policy.parallel(amps.len()) {
+        policy.install(|| {
+            amps.par_iter_mut()
+                .with_min_len(policy.min_chunk)
+                .zip(codes.par_iter().with_min_len(policy.min_chunk))
+                .for_each(|(a, &q)| *a *= t[q as usize]);
+        });
+    } else {
+        for (a, &q) in amps.iter_mut().zip(codes.iter()) {
+            *a *= t[q as usize];
+        }
+    }
+}
+
+/// Split-plane twin of [`apply_phase_coded`]; bit-identical to it.
+///
+/// # Panics
+/// If plane and code lengths differ, or a code has no level.
+pub fn apply_phase_coded_split(
+    re: &mut [f64],
+    im: &mut [f64],
+    codes: &[u16],
+    levels: &[f64],
+    gamma: f64,
+    exec: impl Into<ExecPolicy>,
+) {
+    assert_eq!(re.len(), im.len(), "plane length mismatch");
+    assert_eq!(re.len(), codes.len(), "cost vector length mismatch");
+    let policy = exec.into();
+    let t = level_factors(levels, gamma);
+    if policy.parallel(re.len()) {
+        let chunk = policy.chunk_len(re.len(), 1);
+        policy.install(|| {
+            re.par_chunks_mut(chunk)
+                .zip(im.par_chunks_mut(chunk))
+                .zip(codes.par_chunks(chunk))
+                .for_each(|((rc, ic), qc)| {
+                    for ((r, i), &q) in rc.iter_mut().zip(ic.iter_mut()).zip(qc.iter()) {
+                        phase_rotate(r, i, t[q as usize]);
+                    }
+                });
+        });
+    } else {
+        for ((r, i), &q) in re.iter_mut().zip(im.iter_mut()).zip(codes.iter()) {
+            phase_rotate(r, i, t[q as usize]);
+        }
+    }
+}
+
+/// Objective over a coded diagonal: `Σ levels[codes[x]]·|ψ_x|²`, with the
+/// products and summation order of [`expectation`], so bit-identical to it
+/// on the decoded costs under every policy.
+///
+/// # Panics
+/// If `amps` and `codes` lengths differ, or a code has no level.
+pub fn expectation_coded(
+    amps: &[C64],
+    codes: &[u16],
+    levels: &[f64],
+    exec: impl Into<ExecPolicy>,
+) -> f64 {
+    assert_eq!(amps.len(), codes.len(), "cost vector length mismatch");
+    let policy = exec.into();
+    if policy.parallel(amps.len()) {
+        policy.install(|| {
+            amps.par_iter()
+                .with_min_len(policy.min_chunk)
+                .zip(codes.par_iter().with_min_len(policy.min_chunk))
+                .map(|(a, &q)| levels[q as usize] * a.norm_sqr())
+                .sum()
+        })
+    } else {
+        amps.iter()
+            .zip(codes.iter())
+            .map(|(a, &q)| levels[q as usize] * a.norm_sqr())
+            .sum()
+    }
+}
+
+/// Split-plane twin of [`expectation_coded`]; bit-identical to
+/// [`expectation_split`] on the decoded costs.
+///
+/// # Panics
+/// If plane and code lengths differ, or a code has no level.
+pub fn expectation_coded_split(
+    re: &[f64],
+    im: &[f64],
+    codes: &[u16],
+    levels: &[f64],
+    exec: impl Into<ExecPolicy>,
+) -> f64 {
+    assert_eq!(re.len(), im.len(), "plane length mismatch");
+    assert_eq!(re.len(), codes.len(), "cost vector length mismatch");
+    let policy = exec.into();
+    if policy.parallel(re.len()) {
+        policy.install(|| {
+            re.par_iter()
+                .with_min_len(policy.min_chunk)
+                .zip(im.par_iter().with_min_len(policy.min_chunk))
+                .zip(codes.par_iter().with_min_len(policy.min_chunk))
+                .map(|((&r, &i), &q)| levels[q as usize] * (r * r + i * i))
+                .sum()
+        })
+    } else {
+        re.iter()
+            .zip(im.iter())
+            .zip(codes.iter())
+            .map(|((&r, &i), &q)| levels[q as usize] * (r * r + i * i))
+            .sum()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -809,6 +958,45 @@ mod tests {
             .map(|i| (i % 37) as f64 + if i % 2 == 1 { 0.5 } else { 0.0 })
             .collect();
         assert_phase_is_per_element_cis(&half, 0.66);
+    }
+
+    #[test]
+    fn coded_kernels_match_f64_bit_for_bit() {
+        let n = 10;
+        let costs = labs_diagonal(n);
+        let mut levels = costs.clone();
+        levels.sort_by(f64::total_cmp);
+        levels.dedup();
+        let codes: Vec<u16> = costs
+            .iter()
+            .map(|c| levels.binary_search_by(|l| l.total_cmp(c)).unwrap() as u16)
+            .collect();
+        let s = phased_state(n);
+        let forced = ExecPolicy::rayon().with_min_len(1).with_min_chunk(16);
+        for policy in [ExecPolicy::serial(), forced.with_threads(2)] {
+            let (mut f, mut c) = (s.clone(), s.clone());
+            apply_phase(f.amplitudes_mut(), &costs, -1.3, policy);
+            apply_phase_coded(c.amplitudes_mut(), &codes, &levels, -1.3, policy);
+            assert_eq!(bits(c.amplitudes()), bits(f.amplitudes()), "{policy:?}");
+            assert_eq!(
+                expectation_coded(c.amplitudes(), &codes, &levels, policy).to_bits(),
+                expectation(f.amplitudes(), &costs, policy).to_bits()
+            );
+            let (mut fs, mut cs) = (
+                crate::split::SplitStateVec::from(&s),
+                crate::split::SplitStateVec::from(&s),
+            );
+            let (re, im) = fs.planes_mut();
+            apply_phase_split(re, im, &costs, -1.3, policy);
+            let (re, im) = cs.planes_mut();
+            apply_phase_coded_split(re, im, &codes, &levels, -1.3, policy);
+            assert_eq!(fs, cs, "split, {policy:?}");
+            let ((fr, fi), (cr, ci)) = (fs.planes(), cs.planes());
+            assert_eq!(
+                expectation_coded_split(cr, ci, &codes, &levels, policy).to_bits(),
+                expectation_split(fr, fi, &costs, policy).to_bits()
+            );
+        }
     }
 
     #[test]

@@ -24,6 +24,7 @@ use crate::blocked::{sweep, Lanes};
 use crate::complex::C64;
 use crate::exec::ExecPolicy;
 use rayon::prelude::*;
+use std::ops::{Add, Sub};
 
 /// Complex butterfly over two runs: `(lo_k, hi_k) ← (lo_k + hi_k, lo_k − hi_k)`.
 #[inline(always)]
@@ -61,20 +62,14 @@ pub fn fwht(amps: &mut [C64], exec: impl Into<ExecPolicy>) {
     });
 }
 
-/// Butterfly over two equal-length `f64` lane runs:
+/// Butterfly over two equal-length real runs:
 /// `(lo_k, hi_k) ← (lo_k + hi_k, lo_k − hi_k)`.
 ///
-/// The scalar body is two independent streams of adds/subs — exactly the
-/// shape the autovectorizer packs. With the `simd` feature the explicit
-/// AVX2/NEON path runs instead; IEEE add/sub is exact per lane, so both
-/// paths are bit-identical.
-#[inline]
-fn butterfly_lanes(lo: &mut [f64], hi: &mut [f64]) {
+/// The body is two independent streams of adds/subs — exactly the shape
+/// the autovectorizer packs.
+#[inline(always)]
+fn butterfly_scalar<T: Copy + Add<Output = T> + Sub<Output = T>>(lo: &mut [T], hi: &mut [T]) {
     debug_assert_eq!(lo.len(), hi.len());
-    #[cfg(feature = "simd")]
-    if crate::simd::butterfly_f64(lo, hi) {
-        return;
-    }
     for (l, h) in lo.iter_mut().zip(hi.iter_mut()) {
         let x0 = *l;
         let x1 = *h;
@@ -82,6 +77,37 @@ fn butterfly_lanes(lo: &mut [f64], hi: &mut [f64]) {
         *h = x0 - x1;
     }
 }
+
+/// A real lane type the blocked FWHT runs on: `f64` for the cost
+/// precompute, `i32` for its integer route (`qokit-costvec` codes an
+/// integer-weighted diagonal without an `f64` pass). Both add and subtract
+/// exactly while no partial sum leaves the type's exact range, so the
+/// transform of integer input is the same integers in either type.
+pub trait FwhtLane: Copy + Send + Sync + 'static + Add<Output = Self> + Sub<Output = Self> {
+    /// Butterfly over two equal-length runs:
+    /// `(lo_k, hi_k) ← (lo_k + hi_k, lo_k − hi_k)`.
+    #[inline(always)]
+    fn butterfly(lo: &mut [Self], hi: &mut [Self]) {
+        butterfly_scalar(lo, hi);
+    }
+}
+
+/// With the `simd` feature the explicit AVX2/NEON path runs instead of the
+/// scalar body; IEEE add/sub is exact per lane, so both are bit-identical.
+impl FwhtLane for f64 {
+    #[inline]
+    fn butterfly(lo: &mut [f64], hi: &mut [f64]) {
+        #[cfg(feature = "simd")]
+        if crate::simd::butterfly_f64(lo, hi) {
+            return;
+        }
+        butterfly_scalar(lo, hi);
+    }
+}
+
+/// Integer lanes: the caller bounds `Σ|input|` by `i32::MAX`, which bounds
+/// every partial sum, so no butterfly overflows.
+impl FwhtLane for i32 {}
 
 /// In-place unnormalized FWHT of a **real** vector — the form used by the
 /// cost-vector precompute, where both the sparse spectrum and the result
@@ -93,11 +119,11 @@ fn butterfly_lanes(lo: &mut [f64], hi: &mut [f64]) {
 /// butterfly DAG in the same per-node operand order as the stride-by-stride
 /// schedule — only the traversal order of independent nodes changes — so
 /// the result is bit-identical to it, serial or parallel.
-pub fn fwht_f64(vals: &mut [f64], exec: impl Into<ExecPolicy>) {
+pub fn fwht_real<T: FwhtLane>(vals: &mut [T], exec: impl Into<ExecPolicy>) {
     let n = vals.len().trailing_zeros() as usize;
     debug_assert!(vals.len().is_power_of_two());
     sweep(Lanes::new(vals), 0..n, &exec.into(), |_, lo, hi| {
-        butterfly_lanes(lo, hi)
+        T::butterfly(lo, hi)
     });
 }
 
@@ -106,7 +132,7 @@ pub fn fwht_f64(vals: &mut [f64], exec: impl Into<ExecPolicy>) {
 ///
 /// The complex butterfly `(x0, x1) ← (x0 + x1, x0 − x1)` never mixes real
 /// and imaginary parts, so the split-layout transform is literally two
-/// independent **real** transforms ([`fwht_f64`]) — each a pure `f64`
+/// independent **real** transforms ([`fwht_real`]) — each a pure `f64`
 /// stream the autovectorizer packs, each cache-blocked.
 ///
 /// # Panics
@@ -114,8 +140,8 @@ pub fn fwht_f64(vals: &mut [f64], exec: impl Into<ExecPolicy>) {
 pub fn fwht_split(re: &mut [f64], im: &mut [f64], exec: impl Into<ExecPolicy>) {
     assert_eq!(re.len(), im.len(), "plane length mismatch");
     let policy = exec.into();
-    fwht_f64(re, policy);
-    fwht_f64(im, policy);
+    fwht_real(re, policy);
+    fwht_real(im, policy);
 }
 
 /// The transverse-field mixer via the Ref.\[43\] FWHT sandwich, **in place**:
@@ -254,7 +280,7 @@ mod tests {
         let n = 10;
         let vals: Vec<f64> = (0..1usize << n).map(|i| (i as f64 * 0.37).sin()).collect();
         let mut re = vals.clone();
-        fwht_f64(&mut re, Backend::Serial);
+        fwht_real(&mut re, Backend::Serial);
         let mut cx: Vec<C64> = vals.iter().map(|&v| C64::from_re(v)).collect();
         fwht_serial(&mut cx);
         for (r, c) in re.iter().zip(cx.iter()) {
@@ -262,7 +288,7 @@ mod tests {
             assert!(c.im.abs() < 1e-12);
         }
         let mut rp = vals.clone();
-        fwht_f64(
+        fwht_real(
             &mut rp,
             ExecPolicy::rayon().with_min_len(1).with_min_chunk(4),
         );
@@ -330,7 +356,7 @@ mod tests {
             .collect();
         let mut plain = vals.clone();
         crate::blocked::sweep_unblocked(Lanes::new(&mut plain), 0..18, |_, lo, hi| {
-            butterfly_lanes(lo, hi)
+            f64::butterfly(lo, hi)
         });
         let forced = ExecPolicy::rayon().with_min_len(1);
         let policies = [
@@ -342,10 +368,40 @@ mod tests {
         ];
         for policy in policies {
             let mut blocked = vals.clone();
-            fwht_f64(&mut blocked, policy);
+            fwht_real(&mut blocked, policy);
             assert!(
                 plain == blocked,
                 "{policy:?}: blocked schedule must be bit-identical"
+            );
+        }
+    }
+
+    #[test]
+    fn i32_fwht_matches_f64_bit_for_bit() {
+        // 2^18 integers in [-4096, 4096): Σ|v| ≤ 2^30, so no i32 partial
+        // sum overflows and every f64 partial sum is an exact integer.
+        let ints: Vec<i32> = (0..1i64 << 18)
+            .map(|i| ((i * 2_654_435_761) % 8192) as i32 - 4096)
+            .collect();
+        let floats: Vec<f64> = ints.iter().map(|&v| v as f64).collect();
+        let forced = ExecPolicy::rayon().with_min_len(1);
+        let policies = [
+            ExecPolicy::serial(),
+            ExecPolicy::rayon(),
+            forced.with_min_chunk(1).with_threads(2),
+            forced.with_min_chunk(64).with_threads(4),
+            forced.with_min_chunk(1 << 12).with_threads(1),
+        ];
+        for policy in policies {
+            let mut a = ints.clone();
+            fwht_real(&mut a, policy);
+            let mut b = floats.clone();
+            fwht_real(&mut b, policy);
+            assert!(
+                a.iter()
+                    .zip(&b)
+                    .all(|(&i, &f)| (i as f64).to_bits() == f.to_bits()),
+                "{policy:?}: i32 lanes must reproduce the f64 transform"
             );
         }
     }

@@ -15,7 +15,7 @@
 use proptest::prelude::*;
 use qokit::costvec::PrecomputeMethod;
 use qokit::prelude::*;
-use qokit::statevec::fwht::{fwht, fwht_f64};
+use qokit::statevec::fwht::{fwht, fwht_real};
 use qokit::statevec::su2::apply_mat2;
 use qokit::statevec::su4::{apply_mat4, apply_xy};
 use qokit::statevec::{Mat2, Mat4};
@@ -74,8 +74,8 @@ proptest! {
     fn fwht_f64_backends_agree(vals in prop::collection::vec(-1.0f64..1.0, 256)) {
         let mut a = vals.clone();
         let mut b = vals;
-        fwht_f64(&mut a, Backend::Serial);
-        fwht_f64(&mut b, forced());
+        fwht_real(&mut a, Backend::Serial);
+        fwht_real(&mut b, forced());
         for (x, y) in a.iter().zip(b.iter()) {
             prop_assert!((x - y).abs() < 1e-12);
         }

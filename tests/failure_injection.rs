@@ -67,6 +67,39 @@ fn quantization_off_grid_points_to_the_culprit() {
 }
 
 #[test]
+fn quantization_refuses_values_just_off_the_grid() {
+    // Regression: the old 1e-6 tolerance rounded 2.0000001 onto level 2,
+    // so the u16 simulator evolved a different diagonal than it was given.
+    match CostVec::quantize_exact(&[0.0, 2.0000001], 1.0) {
+        Err(QuantizeError::NotIntegral { index, value }) => {
+            assert_eq!(index, 1);
+            assert_eq!(value, 2.0000001);
+        }
+        other => panic!("expected NotIntegral, got {other:?}"),
+    }
+}
+
+#[test]
+fn distributed_quantization_refuses_slices_just_off_the_grid() {
+    // LABS costs are integers; a 1e-7 field on one spin moves every cost
+    // 1e-7 off the grid. Both the in-process ranks and the transport
+    // workers must keep f64 slices rather than round.
+    use qokit::dist::InProcessTransport;
+    let mut terms = labs_terms(7).terms().to_vec();
+    terms.push(Term::new(1e-7, &[0]));
+    let sim = DistSimulator::new(SpinPolynomial::new(7, terms), 2).unwrap();
+    let (g, b) = ([0.3], [-0.5]);
+    let plain = sim.simulate_qaoa(&g, &b);
+    let quant = sim.simulate_qaoa_quantized(&g, &b);
+    assert!(!quant.quantized, "1e-7 off the grid must not quantize");
+    assert_eq!(quant.expectation.to_bits(), plain.expectation.to_bits());
+    let mut t = InProcessTransport::new(2);
+    let over = sim.simulate_qaoa_quantized_on(&mut t, &g, &b).unwrap();
+    assert!(!over.quantized, "workers must refuse the grid too");
+    assert_eq!(over.expectation.to_bits(), plain.expectation.to_bits());
+}
+
+#[test]
 fn quantization_rejects_nan_costs() {
     // Regression: NaN passed both the span and integrality checks (every
     // `NaN > x` comparison is false) and `NaN as u16` silently produced
